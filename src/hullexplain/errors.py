@@ -29,6 +29,10 @@ class TrainingError(RuntimeError):
     """Model training diverged; message names the failing step."""
 
 
+class ConvergenceError(RuntimeError):
+    """A numerical solver stopped without meeting its convergence criterion."""
+
+
 class ExplainWarning(UserWarning):
     """Base class for warnings raised by explanation routines."""
 

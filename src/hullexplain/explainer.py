@@ -33,12 +33,9 @@ from .surrogate import LinearModel, fit_linear, recover_primal
 
 @dataclass
 class DualConfig:
-    # ridge 0: minimum-norm least squares already handles degenerate fits,
-    # and a 1e-8 penalty costs ~5e-6 per coefficient on unit-box data
     K: int = 10
     n_lambda: int = 30
     tol: float = 1e-6
-    ridge: float = 0.0
     seed: int = 0
     stream: int = 0
 
@@ -49,8 +46,6 @@ class DualConfig:
             raise ConfigError("n_lambda must be >= 2")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
-        if self.ridge < 0:
-            raise ConfigError("ridge must be nonnegative")
 
 
 @dataclass
@@ -74,7 +69,7 @@ def _train_matrix(train) -> np.ndarray:
     return as_points(x, "train")
 
 
-def _affine_recovery(b, extremes, ridge):
+def _affine_recovery(b, extremes):
     """Slope and intercept of the affine least-squares solve of g(x*_i) = b_i.
 
     Among all minimizers, the intercept is kept as small as possible: when
@@ -86,7 +81,7 @@ def _affine_recovery(b, extremes, ridge):
     """
     center = extremes.mean(axis=0)
     b_bar = float(b.mean())
-    a = recover_primal(b - b_bar, extremes - center, ridge=ridge)
+    a = recover_primal(b - b_bar, extremes - center)
     a0 = b_bar - float(a @ center)
     ones = np.ones(extremes.shape[0])
     u, *_ = np.linalg.lstsq(extremes, ones, rcond=None)
@@ -116,9 +111,9 @@ def _run_pipeline(points: np.ndarray, x0_row: int | None, predictor, cfg: DualCo
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        dual_model = fit_linear(lam, z, ridge=cfg.ridge, with_intercept=False)
+        dual_model = fit_linear(lam, z, with_intercept=False)
         b = dual_model.coefficients
-        a, a0 = _affine_recovery(b, poly.extremes, cfg.ridge)
+        a, a0 = _affine_recovery(b, poly.extremes)
     rank_notes = [str(w.message) for w in caught]
     for w in caught:
         warnings.warn_explicit(

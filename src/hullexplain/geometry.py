@@ -1,10 +1,14 @@
 """Convex geometry over finite point sets.
 
 Extreme-point identification, hull membership, and least-distance
-projection onto the convex hull of reference points. Projection is an
-away-step conditional-gradient iteration over the simplex of combination
-weights, so nothing here enumerates facets and affinely dependent inputs
-are fine in any dimension.
+projection onto the convex hull of reference points. All three rest on
+one kernel, Wolfe's minimum-norm-point algorithm (Wolfe 1976, Math.
+Programming 11): an exact, finite active-set method that alternates
+adding the most violating point to a corral with affine least-squares
+steps that drop points whose weight would turn negative. Nothing here
+enumerates facets, and affinely dependent inputs are fine in any
+dimension. A solve that reaches its cycle bound raises
+`ConvergenceError` rather than returning a truncated answer.
 """
 from __future__ import annotations
 
@@ -12,13 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .rng import Prng
+from .errors import ConvergenceError, InvalidInputError
 
-# Direct leave-one-out testing below this size; prune interior points first above it.
-_DIRECT_LIMIT = 128
-# Fixed seed for the direction sweep used only to prune; results do not depend on it.
-_SWEEP_SEED = 0x48554C4C
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def as_points(points, name: str = "points", dim: int | None = None) -> np.ndarray:
@@ -73,7 +73,7 @@ class Polytope:
 
     extremes: np.ndarray        # (d, m), rows are extreme points
     tol: float                  # tolerance used for extremeness decisions
-    contains_x0: bool = False   # True when the explained point was kept as an extreme
+    contains_x0: bool = False   # True when the explained point is not an extreme (inside the hull)
     extreme_indices: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
     @property
@@ -85,188 +85,72 @@ class Polytope:
         return self.extremes.shape[1]
 
 
-def _noise_floor(queries: np.ndarray, refs: np.ndarray) -> float:
-    """Smallest duality gap float64 gradient arithmetic can still resolve."""
-    scale_sq = max(
-        float(np.einsum("ij,ij->i", refs, refs).max()),
-        float(np.einsum("ij,ij->i", queries, queries).max()),
-        1.0,
-    )
-    return 64.0 * np.finfo(np.float64).eps * scale_sq
+def _affine_min_norm(corral: np.ndarray) -> np.ndarray:
+    """Affine weights (summing to one) of the min-norm point of aff(corral)."""
+    base = corral[0]
+    beta = np.linalg.lstsq((corral[1:] - base).T, -base, rcond=None)[0]
+    return np.concatenate([[1.0 - beta.sum()], beta])
 
 
-def _polish_simplex_lstsq(
-    q: np.ndarray,
-    refs: np.ndarray,
-    lam: np.ndarray,
-    forbid_idx: int,
-    gap_tol: float,
-    max_cycles: int = 60,
-) -> np.ndarray:
-    """Finish one projection exactly with an active-set correction.
+def _min_norm_point(P: np.ndarray, gap_tol: float, decide: float | None = None):
+    """Simplex weights w of the point x = w @ P of conv(rows of P) nearest the origin.
 
-    Conditional-gradient iterations zigzag near thin faces; this jumps to
-    the optimum of the equality-restricted least-squares problem on the
-    current support, dropping coordinates that go negative and adding the
-    steepest outside vertex until the KKT gap closes.
+    Wolfe's major cycles add the row minimizing p_j . x to the corral;
+    minor cycles move to the affine min-norm point of the corral, stepping
+    back to the first zero weight and dropping it when that point leaves
+    the simplex. Starts at the shortest row and stops once the Frank-Wolfe
+    gap 2 (x.x - min_j p_j.x), which bounds |x|^2 - dist^2, falls to
+    gap_tol or to the 64 eps max|p|^2 that float64 can resolve. With
+    `decide`, also stops as soon as dist <= decide (|x| <= decide) or
+    dist > decide (2 min_j p_j.x - x.x > decide^2) is proven. Returns (w, x).
     """
-    support = [int(i) for i in np.nonzero(lam > 0.0)[0]]
-    weights = lam[support] / lam[support].sum()
-    for _ in range(max_cycles):
-        sub = refs[support]
-        k = len(support)
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = 2.0 * (sub @ sub.T)
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
-        rhs = np.concatenate([2.0 * (sub @ q), [1.0]])
-        mu = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
-        if np.any(mu < -1e-12):
-            # walk from the current feasible weights toward mu until a
-            # coordinate hits zero, then drop everything that vanished
-            delta = mu - weights
-            shrink = delta < 0.0
-            steps = -weights[shrink] / delta[shrink]
-            t = min(1.0, float(steps.min()))
-            weights = np.clip(weights + t * delta, 0.0, None)
-            keep = weights > 1e-14
-            if not keep.any():
-                keep[int(np.argmax(weights))] = True
-            support = [s for s, k_ in zip(support, keep) if k_]
-            weights = weights[keep]
-            weights /= weights.sum()
-            continue
-        weights = np.clip(mu, 0.0, None)
-        weights /= weights.sum()
-        image = weights @ refs[support]
-        grad = 2.0 * (refs @ (image - q))
-        if forbid_idx >= 0:
-            grad[forbid_idx] = np.inf
-        best = int(np.argmin(grad))
-        gap = float(weights @ grad[support] - grad[best])
-        if gap <= gap_tol or best in support:
+    n, m = P.shape
+    sq = np.einsum("ij,ij->i", P, P)
+    gap_floor = max(gap_tol, 64.0 * _EPS * float(sq.max()))
+    corral = np.array([int(np.argmin(sq))])
+    w = np.ones(1)
+    x = P[corral[0]]
+    # Wolfe's method is finite but has no polynomial cycle bound. Solves here
+    # take under (n + m + 1) / 2 major cycles, so four times n + m + 1 means
+    # rounding has stalled the solve.
+    limit = 4 * (n + m + 1)
+    for _ in range(limit):
+        xx = float(x @ x)
+        scores = P @ x
+        j = int(np.argmin(scores))
+        gap = 2.0 * (xx - float(scores[j]))
+        if gap <= gap_floor:
             break
-        support.append(best)
-        weights = np.append(weights, 0.0)
-    out = np.zeros(refs.shape[0])
-    out[support] = weights
-    return out
-
-
-def _batch_least_distance(
-    queries: np.ndarray,
-    refs: np.ndarray,
-    max_iter: int,
-    gap_tol: float,
-    forbid: np.ndarray | None = None,
-    exact: bool = True,
-    freeze_below: float | None = None,
-):
-    """Project every query onto the hull of `refs` (minus its forbidden ref).
-
-    Away-step Frank-Wolfe with exact line search, all queries advanced in
-    lock-step; rows whose duality gap drops below `gap_tol` are frozen, as
-    are rows whose distance is already under `freeze_below` (the objective
-    only decreases, so such rows are certified). The gap bounds
-    dist^2 - dist*^2. With `exact`, rows the gap test leaves open get an
-    active-set correction that lands on the face optimum directly.
-    Returns (weights, distances, gaps).
-    """
-    big = np.inf
-    n_q, m = queries.shape
-    n_r = refs.shape[0]
-
-    cross = queries @ refs.T
-    ref_sq = np.einsum("ij,ij->i", refs, refs)
-    start_scores = ref_sq[None, :] - 2.0 * cross
-    if forbid is not None:
-        rows = np.nonzero(forbid >= 0)[0]
-        start_scores[rows, forbid[rows]] = big
-    nearest = np.argmin(start_scores, axis=1)
-
-    lam = np.zeros((n_q, n_r))
-    lam[np.arange(n_q), nearest] = 1.0
-    gaps = np.full(n_q, big)
-    active = np.ones(n_q, dtype=bool)
-
-    for _ in range(min(max_iter, 400)):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
+        if decide is not None and (xx <= decide * decide or xx - gap > decide * decide):
             break
-        sub = lam[idx]
-        image = sub @ refs
-        resid = image - queries[idx]
-        grad = 2.0 * (resid @ refs.T)
-
-        masked = grad
-        if forbid is not None:
-            sub_forbid = forbid[idx]
-            rows = np.nonzero(sub_forbid >= 0)[0]
-            if rows.size:
-                masked = grad.copy()
-                masked[rows, sub_forbid[rows]] = big
-        fw = np.argmin(masked, axis=1)
-        rows_local = np.arange(idx.size)
-        grad_dot_lam = np.einsum("ij,ij->i", grad, sub)
-        gap = grad_dot_lam - grad[rows_local, fw]
-        gaps[idx] = gap
-        done = gap <= gap_tol
-        if freeze_below is not None:
-            done |= np.einsum("ij,ij->i", resid, resid) <= freeze_below * freeze_below
-        if done.all():
-            active[idx] = False
-            break
-
-        away_grad = np.where(sub > 0.0, grad, -big)
-        away = np.argmax(away_grad, axis=1)
-        away_gap = grad[rows_local, away] - grad_dot_lam
-        lam_away = sub[rows_local, away]
-        use_away = (away_gap > gap) & (lam_away < 1.0)
-
-        direction = np.where(use_away[:, None], image - refs[away], refs[fw] - image)
-        dir_sq = np.einsum("ij,ij->i", direction, direction)
-        resid_dir = np.einsum("ij,ij->i", resid, direction)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(dir_sq > 0.0, -resid_dir / dir_sq, 0.0)
-        step_max = np.where(
-            use_away, lam_away / np.maximum(1.0 - lam_away, 1e-300), 1.0
+        if j in corral:  # exactly, every corral point has p_j . x = x . x
+            raise ConvergenceError(
+                f"min-norm point stalled with gap {gap:.3g} above {gap_floor:.3g}"
+            )
+        corral = np.append(corral, j)
+        w = np.append(w, 0.0)
+        alpha = _affine_min_norm(P[corral])
+        while alpha.min() <= 0.0:
+            out = alpha <= 0.0
+            ratio = w[out] / np.maximum(w[out] - alpha[out], np.finfo(np.float64).tiny)
+            w = w + float(ratio.min()) * (alpha - w)
+            w[np.nonzero(out)[0][ratio == ratio.min()]] = 0.0
+            keep = w > 0.0
+            corral, w = corral[keep], w[keep]
+            alpha = _affine_min_norm(P[corral])
+        w = alpha
+        x = w @ P[corral]
+    else:
+        raise ConvergenceError(
+            f"min-norm point did not converge within {limit} cycles "
+            f"({n} points in {m} dimensions)"
         )
-        step = np.clip(step, 0.0, step_max)
-        step[done] = 0.0
-
-        scale = np.where(use_away, 1.0 + step, 1.0 - step)
-        sub *= scale[:, None]
-        signed = np.where(use_away, -step, step)
-        target = np.where(use_away, away, fw)
-        sub[rows_local, target] += signed
-        np.clip(sub, 0.0, None, out=sub)
-        sub /= sub.sum(axis=1, keepdims=True)
-        lam[idx] = sub
-        active[idx[done]] = False
-
-    if exact:
-        floor = _noise_floor(queries, refs)
-        polish_tol = max(gap_tol, floor)
-        if freeze_below is not None:
-            frozen = np.linalg.norm(lam @ refs - queries, axis=1) <= freeze_below
-        else:
-            frozen = np.zeros(n_q, dtype=bool)
-        for i in np.nonzero((gaps > polish_tol) & ~frozen)[0]:
-            fb = int(forbid[i]) if forbid is not None else -1
-            lam[i] = _polish_simplex_lstsq(queries[i], refs, lam[i], fb, polish_tol)
-            gaps[i] = 0.0
-
-    image = lam @ refs
-    dist = np.linalg.norm(image - queries, axis=1)
-    return lam, dist, gaps
+    weights = np.zeros(n)
+    weights[corral] = w / w.sum()
+    return weights, x
 
 
-def project_onto_hull(
-    query,
-    refs,
-    max_iter: int = 2000,
-    tol: float | None = None,
-) -> HullProjection:
+def project_onto_hull(query, refs, tol: float | None = None) -> HullProjection:
     """Least-distance projection of `query` onto the convex hull of `refs`.
 
     `tol` is the distance accuracy of the returned projection; defaults to
@@ -274,29 +158,20 @@ def project_onto_hull(
     """
     ref_arr = as_points(refs, "refs")
     q = as_vector(query, "query", dim=ref_arr.shape[1])
-    if tol is None:
-        tol = default_projection_tol(ref_arr)
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
-    lam, dist, _ = _batch_least_distance(
-        q[None, :], ref_arr, max_iter=max_iter, gap_tol=tol * tol
-    )
-    weights = lam[0]
-    return HullProjection(weights=weights, image=weights @ ref_arr, distance=float(dist[0]))
+    lam, dist = project_points_onto_hull(q[None, :], ref_arr, tol=tol)
+    return HullProjection(weights=lam[0], image=lam[0] @ ref_arr, distance=float(dist[0]))
 
 
-def project_points_onto_hull(
-    queries, refs, max_iter: int = 2000, tol: float | None = None
-):
+def project_points_onto_hull(queries, refs, tol: float | None = None):
     """Batched `project_onto_hull`; returns (weights matrix, distance vector)."""
     ref_arr = as_points(refs, "refs")
     q_arr = as_points(queries, "queries", dim=ref_arr.shape[1])
     if tol is None:
         tol = default_projection_tol(ref_arr)
-    lam, dist, _ = _batch_least_distance(
-        q_arr, ref_arr, max_iter=max_iter, gap_tol=tol * tol
-    )
-    return lam, dist
+    if tol <= 0:
+        raise InvalidInputError("tol must be positive")
+    lam = np.stack([_min_norm_point(ref_arr - q, tol * tol)[0] for q in q_arr])
+    return lam, np.linalg.norm(lam @ ref_arr - q_arr, axis=1)
 
 
 def _collapse_duplicates(points: np.ndarray, tol: float) -> np.ndarray:
@@ -314,31 +189,13 @@ def _collapse_duplicates(points: np.ndarray, tol: float) -> np.ndarray:
     return np.asarray(kept, dtype=np.int64)
 
 
-def _direction_sweep_candidates(points: np.ndarray) -> np.ndarray:
-    """Indices guaranteed extreme-ish: argmax/argmin per axis and along random directions."""
-    n, m = points.shape
-    hits = set()
-    for j in range(m):
-        hits.add(int(np.argmin(points[:, j])))
-        hits.add(int(np.argmax(points[:, j])))
-    prng = Prng(_SWEEP_SEED)
-    n_dirs = max(256, 16 * m)
-    dirs = prng.normal(n_dirs * m).reshape(n_dirs, m)
-    norms = np.linalg.norm(dirs, axis=1)
-    dirs = dirs[norms > 0] / norms[norms > 0, None]
-    hits.update(np.argmax(points @ dirs.T, axis=0).tolist())
-    return np.asarray(sorted(hits), dtype=np.int64)
-
-
 def _leave_one_out_extremes(points: np.ndarray, tol: float) -> np.ndarray:
     """Boolean mask: point i is extreme iff its distance to the hull of the others > tol."""
-    n = points.shape[0]
-    forbid = np.arange(n)
-    gap_tol = (0.1 * tol) ** 2
-    _, dist, _ = _batch_least_distance(
-        points, points, max_iter=2000, gap_tol=gap_tol, forbid=forbid
-    )
-    return dist > tol
+    mask = np.zeros(points.shape[0], dtype=bool)
+    for i, p in enumerate(points):
+        _, x = _min_norm_point(np.delete(points, i, axis=0) - p, (0.1 * tol) ** 2, decide=tol)
+        mask[i] = float(x @ x) > tol * tol
+    return mask
 
 
 def find_extreme_points(points, tol: float) -> Polytope:
@@ -346,9 +203,7 @@ def find_extreme_points(points, tol: float) -> Polytope:
 
     A point is extreme iff it lies more than `tol` outside the convex hull
     of the remaining points; within-tol duplicates collapse to the
-    lowest-index representative first. For large sets, points certified
-    interior to the hull of a directional-sweep subset are pruned before
-    the leave-one-out tests (the result is the same, the work is not).
+    lowest-index representative first.
     """
     pts = as_points(points)
     if tol <= 0:
@@ -359,30 +214,11 @@ def find_extreme_points(points, tol: float) -> Polytope:
     if n == 1:
         return Polytope(extremes=uniq.copy(), tol=tol, extreme_indices=keep[:1])
 
-    if n <= _DIRECT_LIMIT:
-        cand = np.arange(n)
-    else:
-        # Pruning only needs a trustworthy upper bound on the distance, and
-        # the conditional-gradient objective is monotone, so rows can freeze
-        # as soon as they are certified inside; no exact finish required.
-        sweep = _direction_sweep_candidates(uniq)
-        others = np.setdiff1d(np.arange(n), sweep)
-        _, dist, _ = _batch_least_distance(
-            uniq[others],
-            uniq[sweep],
-            max_iter=2000,
-            gap_tol=(0.05 * tol) ** 2,
-            exact=False,
-            freeze_below=0.45 * tol,
-        )
-        survivors = others[dist > 0.5 * tol]
-        cand = np.union1d(sweep, survivors)
-
-    mask = _leave_one_out_extremes(uniq[cand], tol)
+    mask = _leave_one_out_extremes(uniq, tol)
     if not mask.any():
         # Fully degenerate cluster; keep the lowest-index representative.
         mask[0] = True
-    extreme_local = cand[mask]
+    extreme_local = np.nonzero(mask)[0]
 
     # Coverage refinement: every non-extreme input must sit within tol of the
     # hull of the extremes. Chained tolerances can in principle break this;
@@ -399,7 +235,7 @@ def find_extreme_points(points, tol: float) -> Polytope:
             break
         extreme_local = np.sort(np.append(extreme_local, non_extreme[worst]))
 
-    original = keep[np.sort(extreme_local)]
+    original = keep[extreme_local]
     return Polytope(extremes=pts[original], tol=tol, extreme_indices=original)
 
 

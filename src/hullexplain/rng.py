@@ -29,7 +29,9 @@ Derived variates, in the order the counter is consumed:
     shuffle     Fisher-Yates, i = n-1..1, j = below(i + 1)
 
 `derive_seed` folds extra integers into a seed with the same mixer; the
-CLI uses it to give each explained point its own LIME seed.
+bagged-tree regressor uses it to give each tree its own bootstrap seed.
+The CLI gives each explained point its own stream (`stream=i`) under the
+run seed, for both the dual sampler and the LIME baseline.
 """
 from __future__ import annotations
 

@@ -102,20 +102,18 @@ def fit_linear(
     return LinearModel(coefficients=coef, intercept=intercept, ridge=float(ridge))
 
 
-def recover_primal(b, extremes, ridge: float = 0.0) -> np.ndarray:
+def recover_primal(b, extremes) -> np.ndarray:
     """Feature-space coefficients a with a . x*_i closest to b_i in least squares.
 
     `extremes` is the d x m matrix of extreme points. d < m means the
     system is underdetermined; the minimum-norm solution is returned with
-    a rank-deficiency warning. ridge defaults to 0: minimum-norm least
+    a rank-deficiency warning. There is no ridge term: minimum-norm least
     squares already covers rank deficiency, and any fixed positive ridge
     measurably biases the exact-recovery cases this feeds
     (1e-8 costs ~5e-6 per coefficient on unit-box neighborhoods).
     """
     E = as_points(extremes, "extremes")
     bv = as_vector(b, "b", dim=E.shape[0])
-    if ridge < 0:
-        raise InvalidInputError("ridge must be nonnegative")
     d, m = E.shape
     if d < m:
         warnings.warn(
@@ -124,12 +122,7 @@ def recover_primal(b, extremes, ridge: float = 0.0) -> np.ndarray:
             RankDeficiencyWarning,
             stacklevel=2,
         )
-    if ridge > 0.0:
-        design = np.vstack([E, np.sqrt(ridge) * np.eye(m)])
-        rhs = np.concatenate([bv, np.zeros(m)])
-    else:
-        design, rhs = E, bv
-    return np.linalg.lstsq(design, rhs, rcond=None)[0]
+    return np.linalg.lstsq(E, bv, rcond=None)[0]
 
 
 @dataclass

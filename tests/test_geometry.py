@@ -3,7 +3,9 @@
 Cross-checked in 2-d against independent classical oracles: a
 monotone-chain convex hull for extreme sets, and exact point-to-segment
 arithmetic for hull distances. Higher dimensions are covered by
-invariants (feasibility, idempotence, coverage, equivariance).
+invariants (feasibility, idempotence, coverage, equivariance) and by 7-d
+certificates that need no oracle: the KKT conditions of a projection, and
+distance bounds that any simplex weights prove.
 """
 import numpy as np
 import pytest
@@ -245,7 +247,7 @@ class TestExtremePoints:
         assert moved.extreme_indices.tolist() == base.extreme_indices.tolist()
 
     def test_prefiltered_large_set_matches_direct_rule(self):
-        # above the direct-path size limit; interior points must still be pruned exactly
+        # 304 points, 300 of them interior: each leave-one-out test must still be exact
         prng = Prng(31, 0)
         corners = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
         interior = 0.1 + 0.8 * prng.unit(600).reshape(300, 2)
@@ -262,6 +264,73 @@ class TestExtremePoints:
         poly = find_extreme_points(pts, tol=1e-9)
         assert poly.extreme_indices.tolist() == sorted(brute_force_extremes_2d(pts, 1e-9))
 
+
+# ------------------------------------------------------- 7-d certificates
+
+def points_7d(prng, n, flat):
+    """n generic points in R^7, or on a random 3-d affine subspace of it."""
+    if flat:
+        basis = prng.normal(21).reshape(3, 7)
+        return prng.normal(3 * n).reshape(n, 3) @ basis + prng.normal(7)
+    return prng.normal(7 * n).reshape(n, 7)
+
+
+def certified_distance_bounds(q, refs):
+    """(lower, upper) bounds on dist(q, hull(refs)) that hold for any simplex weights.
+
+    The upper bound is the distance to the weights' image; the lower bound
+    is how far every ref lies from q along the unit residual direction.
+    """
+    proj = project_onto_hull(q, refs, tol=1e-12)
+    resid = q - proj.image
+    upper = float(np.linalg.norm(resid))
+    if upper == 0.0:
+        return 0.0, 0.0
+    return max(0.0, float(np.min((q - refs) @ resid)) / upper), upper
+
+
+class TestSevenDimensional:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.booleans())
+    def test_projection_meets_kkt_certificate(self, seed, flat):
+        prng = Prng(seed, 17)
+        n = 2 + int(prng.below(24, 1)[0])
+        refs = points_7d(prng, n, flat)
+        q = 3.0 * prng.normal(7)
+        p = project_onto_hull(q, refs)
+        assert np.all(p.weights >= 0.0)
+        assert abs(p.weights.sum() - 1.0) <= 1e-12
+        assert np.allclose(p.weights @ refs, p.image, atol=1e-10)
+        # optimality: no ref lies beyond the image along the residual
+        resid = q - p.image
+        scale = 1.0 + float(np.max(np.sum((refs - q) ** 2, axis=1)))
+        assert float(np.max((refs - p.image) @ resid)) <= 1e-10 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.booleans())
+    def test_extremes_are_certified_by_distance_bounds(self, seed, flat):
+        prng = Prng(seed, 18)
+        n = 4 + int(prng.below(20, 1)[0])
+        pts = points_7d(prng, n, flat)
+        tol = 1e-6
+        # Two points at 0.8 tol (at most) and exactly 1.5 tol outside the hull:
+        # each sits above the midpoint of two points, drawn from disjoint halves
+        # of the set, moved onto a supporting hyperplane.
+        for height, lo, hi in ((0.8, 0, n // 2), (1.5, n // 2, n)):
+            u = prng.normal(7)
+            u /= np.linalg.norm(u)
+            top = pts @ u
+            a, b = lo + np.argsort(top[lo:hi])[-2:]
+            pts[[a, b]] += (top.max() - top[[a, b]])[:, None] * u
+            pts = np.vstack([pts, 0.5 * (pts[a] + pts[b]) + height * tol * u])
+        kept = set(find_extreme_points(pts, tol=tol).extreme_indices.tolist())
+        assert len(pts) - 1 in kept and len(pts) - 2 not in kept
+        for i in range(len(pts)):
+            lower, upper = certified_distance_bounds(pts[i], np.delete(pts, i, axis=0))
+            if i in kept:
+                assert lower > tol, f"point {i} kept at distance <= {upper}"
+            else:
+                assert upper <= tol, f"point {i} dropped at distance >= {lower}"
 
 class TestContains:
     def test_interior_and_exterior(self):

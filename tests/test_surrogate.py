@@ -34,7 +34,7 @@ def normal_equations(X, t, w=None, ridge=0.0, intercept=True):
 class TestFitLinear:
     def test_identity_design_returns_targets(self):
         b = np.array([3.0, -1.0, 0.5])
-        model = fit_linear(np.eye(3), b, ridge=0.0, with_intercept=False)
+        model = fit_linear(np.eye(3), b, with_intercept=False)
         assert np.allclose(model.coefficients, b, atol=1e-12)
         assert model.intercept == 0.0
 
@@ -121,7 +121,7 @@ class TestFitLinear:
 class TestRecoverPrimal:
     def test_identity_extremes(self):
         b = np.array([1.5, -2.0, 0.5])
-        assert np.allclose(recover_primal(b, np.eye(3), ridge=0.0), b, atol=1e-12)
+        assert np.allclose(recover_primal(b, np.eye(3)), b, atol=1e-12)
 
     def test_consistent_system_recovers_truth(self):
         prng = Prng(6, 0)
@@ -130,37 +130,29 @@ class TestRecoverPrimal:
         b = E @ a_true
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankDeficiencyWarning)  # d=5 < m=7
-            a = recover_primal(b, E, ridge=0.0)
+            a = recover_primal(b, E)
         assert np.allclose(E @ a, b, atol=1e-8)
 
     def test_square_invertible_matches_inverse(self):
         prng = Prng(7, 0)
         E = prng.normal(16).reshape(4, 4) + 2.0 * np.eye(4)
         b = prng.normal(4)
-        a = recover_primal(b, E, ridge=0.0)
+        a = recover_primal(b, E)
         assert np.allclose(a, np.linalg.solve(E, b), atol=1e-8)
 
     def test_matches_normal_equations_oracle(self):
         prng = Prng(8, 0)
         E = prng.normal(49).reshape(7, 7)
         b = prng.normal(7)
-        a = recover_primal(b, E, ridge=0.0)
+        a = recover_primal(b, E)
         want = np.linalg.solve(E.T @ E, E.T @ b)
         assert np.allclose(a, want, atol=1e-8)
 
     def test_underdetermined_warns(self):
         with pytest.warns(RankDeficiencyWarning):
-            a = recover_primal(np.array([2.0]), np.array([[1.0, 1.0]]), ridge=0.0)
+            a = recover_primal(np.array([2.0]), np.array([[1.0, 1.0]]))
         # minimum-norm solution of a1 + a2 = 2
         assert np.allclose(a, [1.0, 1.0], atol=1e-10)
-
-    def test_default_ridge_barely_moves_coefficients(self):
-        prng = Prng(9, 0)
-        E = prng.normal(12).reshape(4, 3)
-        b = prng.normal(4)
-        exact = recover_primal(b, E, ridge=0.0)
-        ridged = recover_primal(b, E)  # default 1e-8
-        assert np.max(np.abs(exact - ridged)) < 1e-6
 
 
 class TestLime:
