@@ -5,7 +5,8 @@ coordinate, summed at the output, so the model is a sum of univariate
 shape functions by construction. Parameters live in one flat vector
 (subnet views alias it), which keeps the optimizer and the serializer
 trivial. Training is plain mini-batch adaptive-moment descent with an
-analytic gradient; no autodiff framework involved.
+analytic gradient; no autodiff framework involved. Each step runs one
+forward pass, whose activations give both the batch loss and the gradient.
 """
 from __future__ import annotations
 
@@ -152,10 +153,16 @@ def loss(net: AdditiveNet, lam, z, alpha: float) -> float:
 
 def gradient(net: AdditiveNet, lam, z, alpha: float) -> np.ndarray:
     """Analytic gradient of loss() with respect to the flat parameters."""
+    return _loss_and_gradient(net, lam, z, alpha)[1]
+
+
+def _loss_and_gradient(net: AdditiveNet, lam, z, alpha: float):
+    """(loss(), gradient()) from one forward pass, bit for bit."""
     lam, z = _check_batch(lam, z)
     n = lam.shape[0]
     # forward pass keeping activations
     acts = []
+    contrib = np.empty((n, net.d))
     total = np.zeros(n)
     for k, s in enumerate(net.subnets):
         z1 = np.outer(lam[:, k], s.W1) + s.b1
@@ -164,7 +171,13 @@ def gradient(net: AdditiveNet, lam, z, alpha: float) -> np.ndarray:
         a2 = np.maximum(z2, 0.0)
         h = a2 @ s.W3 + s.b3[0]
         acts.append((z1, a1, z2, a2))
+        contrib[:, k] = h
         total += h
+    # The loss sums each row as forward() does; that pairwise sum and the
+    # running total above round differently once d >= 8.
+    residual = contrib.sum(axis=1) - z
+    weights = net.params[net.weight_mask]
+    value = float(residual @ residual) + alpha * float(weights @ weights)
     dh = 2.0 * (total - z)  # shared by every subnet: d(residual^2)/dh_k
     grad = np.zeros_like(net.params)
     gview = [_SubnetView(grad, k * SUBNET_PARAMS) for k in range(net.d)]
@@ -181,8 +194,8 @@ def gradient(net: AdditiveNet, lam, z, alpha: float) -> np.ndarray:
         dz1[z1 <= 0.0] = 0.0
         g.W1[:] = dz1.T @ lam[:, k]
         g.b1[:] = dz1.sum(axis=0)
-    grad[net.weight_mask] += 2.0 * alpha * net.params[net.weight_mask]
-    return grad
+    grad[net.weight_mask] += 2.0 * alpha * weights
+    return value, grad
 
 
 def train(net: AdditiveNet, lam, z, cfg: TrainConfig):
@@ -214,11 +227,10 @@ def train(net: AdditiveNet, lam, z, cfg: TrainConfig):
             idx = perm[start:start + batch]
             blam, bz = lam[idx], z[idx]
             step += 1
-            batch_loss = loss(net, blam, bz, cfg.alpha)
+            batch_loss, g = _loss_and_gradient(net, blam, bz, cfg.alpha)
             if not math.isfinite(batch_loss):
                 raise TrainingError(f"training diverged at step {step}")
             history.append(batch_loss)
-            g = gradient(net, blam, bz, cfg.alpha)
             m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
             v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
             m_hat = m / (1.0 - cfg.beta1**step)

@@ -27,6 +27,7 @@ Derived variates, in the order the counter is consumed:
                 normal(n) consumes 2*ceil(n/2) units and truncates.
     integer     below(bound) = floor(u * bound)     # bound << 2**53
     shuffle     Fisher-Yates, i = n-1..1, j = below(i + 1)
+                (the n-1 units are drawn in one block, in this counter order)
 
 `derive_seed` folds extra integers into a seed with the same mixer; the
 bagged-tree regressor uses it to give each tree its own bootstrap seed.
@@ -120,9 +121,15 @@ class Prng:
         return np.minimum((self.unit(n) * bound).astype(np.int64), bound - 1)
 
     def shuffled(self, n: int) -> np.ndarray:
-        """A permutation of range(n) by seeded Fisher-Yates."""
-        perm = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = int(self.below(i + 1)[0])
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        """A permutation of range(n) by seeded Fisher-Yates.
+
+        The n-1 units are drawn in one block; unit t picks the partner of
+        i = n-1-t exactly as below(i + 1) would, so the permutation and the
+        counter match one below() call per swap.
+        """
+        perm = list(range(n))
+        if n > 1:
+            for i, u in zip(range(n - 1, 0, -1), self.unit(n - 1).tolist()):
+                j = min(int(u * (i + 1)), i)
+                perm[i], perm[j] = perm[j], perm[i]
+        return np.array(perm, dtype=np.int_)

@@ -83,20 +83,24 @@ def fit_linear(
         design = design * root[:, None]
         rhs = rhs * root
 
-    if np.linalg.matrix_rank(design) < cols:
+    if ridge > 0.0:
+        # the rank reported is the design's, not the augmented system's
+        rank = np.linalg.matrix_rank(design)
+        aug = np.zeros((m, cols))
+        aug[:, :m] = np.sqrt(ridge) * np.eye(m)
+        design = np.vstack([design, aug])
+        rhs = np.concatenate([rhs, np.zeros(m)])
+        sol = np.linalg.lstsq(design, rhs, rcond=None)[0]
+    else:
+        # lstsq counts singular values above matrix_rank's default
+        # threshold, eps * max(n, cols) * s_max
+        sol, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
+    if rank < cols:
         warnings.warn(
             "rank-deficient design; coefficients are the minimum-norm solution",
             RankDeficiencyWarning,
             stacklevel=2,
         )
-
-    if ridge > 0.0:
-        aug = np.zeros((m, cols))
-        aug[:, :m] = np.sqrt(ridge) * np.eye(m)
-        design = np.vstack([design, aug])
-        rhs = np.concatenate([rhs, np.zeros(m)])
-
-    sol = np.linalg.lstsq(design, rhs, rcond=None)[0]
     coef = sol[:m]
     intercept = float(sol[m]) if with_intercept else 0.0
     return LinearModel(coefficients=coef, intercept=intercept, ridge=float(ridge))

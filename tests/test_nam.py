@@ -234,7 +234,76 @@ class TestGradient:
         assert np.allclose(diff, expected, atol=1e-12)
 
 
+class TestFusedStep:
+    @pytest.mark.parametrize("d", [1, 3, 9])
+    @pytest.mark.parametrize("alpha", [0.0, 1e-4])
+    def test_equals_separate_loss_and_gradient(self, d, alpha):
+        # d = 9 sums the loss's rows pairwise, unlike the gradient's running
+        # total; targets near the prediction keep that last-bit difference
+        # visible in the loss
+        for seed in range(3):
+            net = nam.AdditiveNet(d, seed=seed)
+            net.params += Prng(seed + 40, 0).normal(net.params.size, 0.0, 0.1)
+            lam = SimplexSampler(d, seed=seed + 50).draw(17 + 20 * seed)
+            noise = Prng(seed + 60, 0).normal(lam.shape[0])
+            for z in (noise, net.predict(lam) + 1e-9 * noise):
+                value, grad = nam._loss_and_gradient(net, lam, z, alpha)
+                assert value == nam.loss(net, lam, z, alpha)
+                assert np.array_equal(grad, nam.gradient(net, lam, z, alpha))
+
+    def test_gradient_adds_subnets_in_order(self):
+        # the gradient's residual is a running total over the subnets, which
+        # for d >= 8 differs in the last bit from forward()'s row sum
+        net = nam.AdditiveNet(9, seed=2)
+        lam = SimplexSampler(9, seed=70).draw(40)
+        _, contrib = net.forward(lam)
+        z = contrib.sum(axis=1) + 1e-9 * Prng(71, 0).normal(40)
+        total = np.zeros(40)
+        for k in range(9):
+            total += contrib[:, k]
+        grad = nam.gradient(net, lam, z, 0.0)
+        for k in range(9):
+            b3 = nam._SubnetView(grad, k * nam.SUBNET_PARAMS).b3[0]
+            assert b3 == (2.0 * (total - z)).sum()
+
+
+def reference_train(net, lam, z, cfg):
+    # separate loss() and gradient() calls, shuffled by the scalar recipe
+    shuffler = Prng(cfg.seed, 1)
+    m = np.zeros_like(net.params)
+    v = np.zeros_like(net.params)
+    history = []
+    step = 0
+    n = lam.shape[0]
+    for _ in range(cfg.epochs):
+        perm = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = int(shuffler.below(i + 1)[0])
+            perm[i], perm[j] = perm[j], perm[i]
+        for start in range(0, n, cfg.batch):
+            idx = perm[start:start + cfg.batch]
+            step += 1
+            history.append(nam.loss(net, lam[idx], z[idx], cfg.alpha))
+            g = nam.gradient(net, lam[idx], z[idx], cfg.alpha)
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+            m_hat = m / (1.0 - cfg.beta1**step)
+            v_hat = v / (1.0 - cfg.beta2**step)
+            net.params -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    return net, history
+
+
 class TestTrain:
+    def test_trajectory_matches_reference_loop(self):
+        lam = SimplexSampler(2, seed=13).draw(300)
+        z = np.sin(3.0 * lam[:, 0])
+        cfg = nam.TrainConfig(batch=64, epochs=3, seed=5)
+        net, history = nam.train(nam.AdditiveNet(2, seed=4), lam, z, cfg)
+        ref, ref_history = reference_train(nam.AdditiveNet(2, seed=4), lam, z, cfg)
+        assert len(history) == 3 * 5
+        assert history == ref_history
+        assert np.array_equal(net.params, ref.params)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             nam.TrainConfig(lr=0.0).validate()

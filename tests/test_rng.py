@@ -125,6 +125,29 @@ class TestDistributions:
         assert not np.array_equal(Prng(4, 2).shuffled(257), Prng(5, 2).shuffled(257))
 
 
+def recipe_shuffle(prng, n):
+    # the documented recipe: one below(i + 1) call per swap, i = n-1..1
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = int(prng.below(i + 1)[0])
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+class TestShuffleRecipe:
+    @pytest.mark.parametrize("seed,stream", [(0, 1), (42, 7)])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 257, 1000])
+    def test_matches_scalar_recipe(self, seed, stream, n):
+        fast, slow = Prng(seed, stream), Prng(seed, stream)
+        fast.skip(5)  # start mid-stream
+        slow.skip(5)
+        perm = fast.shuffled(n)
+        assert perm.dtype == np.arange(1).dtype
+        assert perm.tolist() == recipe_shuffle(slow, n)
+        assert fast._counter == slow._counter == 5 + max(n - 1, 0)
+        assert np.array_equal(fast.unit(4), slow.unit(4))
+
+
 class TestValidation:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
