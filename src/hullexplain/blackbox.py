@@ -12,7 +12,6 @@ import shlex
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,100 +82,214 @@ def knn_fit(X, y, k: int) -> KnnRegressor:
 
 # ---------------------------------------------------------- bagged trees
 
-@dataclass
-class _Tree:
-    feature: list = field(default_factory=list)     # -1 marks a leaf
-    threshold: list = field(default_factory=list)
-    left: list = field(default_factory=list)
-    right: list = field(default_factory=list)
-    value: list = field(default_factory=list)
-
-    def build(self, X: np.ndarray, y: np.ndarray, root_idx: np.ndarray, min_split: int):
-        # explicit stack: trees grown to purity can get deep
-        stack = [(root_idx, -1, False)]
-        while stack:
-            idx, parent, is_left = stack.pop()
-            node = len(self.feature)
-            self.feature.append(-1)
-            self.threshold.append(0.0)
-            self.left.append(-1)
-            self.right.append(-1)
-            self.value.append(float(y[idx].mean()))
-            if parent >= 0:
-                if is_left:
-                    self.left[parent] = node
-                else:
-                    self.right[parent] = node
-            n = idx.size
-            if n < min_split or np.all(y[idx] == y[idx][0]):
-                continue
-            best = None  # (sse, feature, threshold, order, pos)
-            ysub = y[idx]
-            for f in range(X.shape[1]):
-                xv = X[idx, f]
-                order = np.argsort(xv, kind="stable")
-                xs = xv[order]
-                ys = ysub[order]
-                cut = np.nonzero(xs[1:] > xs[:-1])[0]  # split between distinct values only
-                if cut.size == 0:
-                    continue
-                csum = np.cumsum(ys)
-                csq = np.cumsum(ys * ys)
-                total, total_sq = csum[-1], csq[-1]
-                nl = cut + 1.0
-                nr = n - nl
-                sl = csum[cut]
-                # node SSE = left + right, each sum(y^2) - (sum y)^2 / count
-                sse = (csq[cut] - sl * sl / nl) + (total_sq - csq[cut] - (total - sl) ** 2 / nr)
-                j = int(np.argmin(sse))
-                if best is None or sse[j] < best[0] - 1e-12:
-                    thr = 0.5 * (xs[cut[j]] + xs[cut[j] + 1])
-                    best = (float(sse[j]), f, thr, order, int(cut[j]))
-            if best is None:  # every feature constant on this node
-                continue
-            _, f, thr, order, pos = best
-            self.feature[node] = f
-            self.threshold[node] = thr
-            # push right first so the left child is processed (and numbered) next
-            stack.append((idx[order[pos + 1 :]], node, False))
-            stack.append((idx[order[: pos + 1]], node, True))
-
-    def freeze(self):
-        self.feature = np.asarray(self.feature, dtype=np.int64)
-        self.threshold = np.asarray(self.threshold, dtype=np.float64)
-        self.left = np.asarray(self.left, dtype=np.int64)
-        self.right = np.asarray(self.right, dtype=np.int64)
-        self.value = np.asarray(self.value, dtype=np.float64)
-
-    def predict(self, Q: np.ndarray) -> np.ndarray:
-        node = np.zeros(Q.shape[0], dtype=np.int64)
-        pending = self.feature[node] >= 0
-        rows = np.arange(Q.shape[0])
-        while pending.any():
-            at = node[pending]
-            f = self.feature[at]
-            goes_left = Q[rows[pending], f] <= self.threshold[at]
-            node[pending] = np.where(goes_left, self.left[at], self.right[at])
-            pending = self.feature[node] >= 0
-        return self.value[node]
+# training rows per group of trees grown together: bounds the temporaries
+# of one level while keeping the number of passes small
+_GROUP_ROWS = 4096
 
 
 class BaggedTrees(Predictor):
-    """Bootstrap ensemble of variance-reduction regression trees, mean-aggregated."""
+    """Bootstrap ensemble of variance-reduction regression trees, mean-aggregated.
 
-    def __init__(self, trees: list[_Tree], input_dim: int):
-        self._trees = trees
+    All trees live in one flat forest. Tree t starts at node roots[t]; node
+    i sends a row with x[feature[i]] <= threshold[i] to left[i] and any
+    other row to left[i] + 1. A leaf has threshold +inf and left[i] == i,
+    so it keeps every row, and predicts value[i]. No root is more than
+    `depth` splits above a leaf.
+    """
+
+    def __init__(self, feature, threshold, left, value, roots, depth: int, input_dim: int):
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.value = value
+        self.roots = roots
+        self.depth = depth
         self.input_dim = input_dim
 
     @property
     def n_trees(self) -> int:
-        return len(self._trees)
+        return self.roots.size
 
     def _predict_batch(self, Q: np.ndarray) -> np.ndarray:
-        acc = np.zeros(Q.shape[0])
-        for t in self._trees:
-            acc += t.predict(Q)
-        return acc / len(self._trees)
+        t = self.n_trees
+        out = np.empty(Q.shape[0])
+        chunk = max(1, 2**14 // t)
+        for lo in range(0, Q.shape[0], chunk):
+            q = Q[lo : lo + chunk]
+            c, m = q.shape
+            # one entry per (tree, row) pair, all moving one level per pass
+            node = np.repeat(self.roots, c)
+            offset = np.tile(np.arange(0, c * m, m), t)
+            flat = q.ravel()
+            for _ in range(self.depth):
+                x = flat[offset + self.feature[node]]
+                node = self.left[node] + (x > self.threshold[node])
+            # a running sum over trees adds each tree's predictions in turn,
+            # starting from zero, as a loop over the trees would
+            acc = np.zeros((t + 1, c))
+            acc[1:] = self.value[node].reshape(t, c)
+            out[lo : lo + c] = np.cumsum(acc, axis=0)[-1] / t
+        return out
+
+
+def _padded_layout(lens: np.ndarray):
+    """Place segments of the given lengths as rows of zero-padded blocks.
+
+    One block holds the segments of one power-of-two length class, so a
+    block is never more than twice the rows it holds. Returns the slot of
+    each segment's first entry in the flat padded buffer, the buffer size,
+    and each block's (offset, segments, width).
+    """
+    first = np.empty(lens.size, dtype=np.int64)
+    blocks = []
+    cells = 0
+    length_class = np.frexp(lens)[1]
+    for e in np.flatnonzero(np.bincount(length_class)):
+        sel = np.flatnonzero(length_class == e)
+        width = int(lens[sel].max())
+        first[sel] = cells + width * np.arange(sel.size)
+        blocks.append((cells, sel.size, width))
+        cells += sel.size * width
+    return first, cells, blocks
+
+
+def _segment_cumsums(v: np.ndarray, slot: np.ndarray, cells: int, blocks) -> np.ndarray:
+    """np.cumsum along axis 0 of each segment of v on its own, bit for bit.
+
+    `slot` puts every entry of v in a zero-padded block row of its segment
+    (see _padded_layout); the padding follows each segment, so it never
+    enters a running sum of the segment's own entries.
+    """
+    buf = np.zeros((cells,) + v.shape[1:])
+    buf[slot] = v
+    for offset, count, width in blocks:
+        part = buf[offset : offset + count * width].reshape((count, width) + v.shape[1:])
+        part[...] = np.cumsum(part, axis=1)
+    return buf[slot]
+
+
+def _segment_means(v: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """v[start:start+len].mean() of each segment, bit for bit.
+
+    Segments of one length form one matrix, whose row sums are the
+    pairwise sums np.mean takes of each segment alone.
+    """
+    out = np.empty(lens.size)
+    starts = np.cumsum(lens) - lens
+    for size in np.flatnonzero(np.bincount(lens)):
+        sel = np.flatnonzero(lens == size)
+        out[sel] = v[starts[sel, None] + np.arange(size)].sum(axis=1) / size
+    return out
+
+
+def _best_splits(X, ranks, y, rows, lens):
+    """Best variance-reduction split of every segment of `rows`.
+
+    Returns the feature (-1 where no feature has a cut), threshold and
+    left size of each segment, and `rows` with each split segment reordered
+    by its split feature. Per feature, a segment's rows are sorted stably,
+    the first minimum of the SSE over its cuts wins, and a later feature
+    replaces the best only if its SSE is lower by more than 1e-12.
+    """
+    k = lens.size
+    starts = np.cumsum(lens) - lens
+    seg = np.repeat(np.arange(k), lens)
+    pos = np.arange(rows.size) - starts[seg]
+    first_slot, cells, blocks = _padded_layout(lens)
+    slot = first_slot[seg] + pos
+    found = np.zeros(k, dtype=bool)
+    best_sse = np.zeros(k)
+    feature = np.full(k, -1)
+    threshold = np.full(k, np.inf)
+    n_left = np.zeros(k, dtype=np.int64)
+    out = rows.copy()
+    for f in range(X.shape[1]):
+        r = ranks[f, rows]
+        # equal values share a rank, so this is a stable sort by x within each segment
+        order = np.argsort(seg * X.shape[0] + r, kind="stable")
+        srows, sr = rows[order], r[order]
+        cut = np.flatnonzero((sr[1:] > sr[:-1]) & (seg[1:] == seg[:-1]))
+        if cut.size == 0:
+            continue
+        ys = y[srows]
+        cs = _segment_cumsums(np.stack([ys, ys * ys], axis=1), slot, cells, blocks)
+        cseg = seg[cut]
+        last = starts[cseg] + lens[cseg] - 1
+        total, total_sq = cs[last, 0], cs[last, 1]
+        nl = pos[cut] + 1.0
+        nr = lens[cseg] - nl
+        sl = cs[cut, 0]
+        csq = cs[cut, 1]
+        # node SSE = left + right, each sum(y^2) - (sum y)^2 / count
+        sse = (csq - sl * sl / nl) + (total_sq - csq - (total - sl) ** 2 / nr)
+        # first minimum per segment, NaN counting as least as argmin does
+        first = np.flatnonzero(np.r_[True, cseg[1:] != cseg[:-1]])
+        low = np.repeat(np.minimum.reduceat(sse, first), np.diff(np.r_[first, cut.size]))
+        hit = np.flatnonzero(np.where(np.isnan(low), np.isnan(sse), sse == low))
+        j = hit[np.r_[True, cseg[hit[1:]] != cseg[hit[:-1]]]]
+        s = cseg[j]
+        better = ~found[s] | (sse[j] < best_sse[s] - 1e-12)
+        s, j = s[better], j[better]
+        found[s] = True
+        best_sse[s] = sse[j]
+        feature[s] = f
+        threshold[s] = 0.5 * (X[srows[cut[j]], f] + X[srows[cut[j] + 1], f])
+        n_left[s] = pos[cut[j]] + 1
+        take = np.zeros(k, dtype=bool)
+        take[s] = True
+        take = np.repeat(take, lens)
+        out[take] = srows[take]
+    return feature, threshold, n_left, out
+
+
+def _grow_trees(X, ranks, y, rows, n_trees: int, min_split: int, forest, base: int):
+    """Grow a group of trees to purity together, one level per pass.
+
+    `rows` holds the training rows of each tree in turn. The nodes are
+    written into the (feature, threshold, left, value) arrays of `forest`
+    in BaggedTrees' layout, numbered level by level from `base`, so the
+    group's roots come first. Returns the next free node and the number of
+    levels. Every open node is a segment of one row array, in the order its
+    parent's split sorted it. A node is a leaf when it has fewer than
+    `min_split` rows, a constant target or no cut; its value is the mean
+    target of its rows in that order.
+    """
+    feature, threshold, left, value = forest
+    lens = np.full(n_trees, rows.size // n_trees)
+    leaf_ids, leaf_rows, leaf_lens = [], [], []
+    levels = 0
+    while lens.size:
+        k = lens.size
+        starts = np.cumsum(lens) - lens
+        yr = y[rows]
+        grow = (lens >= min_split) & (
+            np.minimum.reduceat(yr, starts) < np.maximum.reduceat(yr, starts))
+        f = np.full(k, -1)
+        thr = np.full(k, np.inf)
+        n_left = np.zeros(k, dtype=np.int64)
+        grow_rows = np.repeat(grow, lens)
+        if grow.any():
+            f[grow], thr[grow], n_left[grow], rows[grow_rows] = _best_splits(
+                X, ranks, y, rows[grow_rows], lens[grow])
+        split = f >= 0
+        leaf = ~split
+        leaf_ids.append(base + np.flatnonzero(leaf))
+        leaf_rows.append(rows[np.repeat(leaf, lens)])
+        leaf_lens.append(lens[leaf])
+        # a leaf points at itself; the children of the i-th split node are
+        # nodes 2i and 2i+1 of the next level
+        child = base + np.arange(k)
+        child[split] = base + k + 2 * np.arange(np.count_nonzero(split))
+        feature[base : base + k] = np.maximum(f, 0)
+        threshold[base : base + k] = thr
+        left[base : base + k] = child
+        rows = rows[np.repeat(split, lens)]
+        lens = np.stack([n_left[split], lens[split] - n_left[split]], axis=1).ravel()
+        base += k
+        levels += 1
+    value[np.concatenate(leaf_ids)] = _segment_means(
+        y[np.concatenate(leaf_rows)], np.concatenate(leaf_lens))
+    return base, levels
 
 
 def trees_fit(
@@ -189,8 +302,13 @@ def trees_fit(
 ) -> BaggedTrees:
     """Fit a bagged ensemble; trees grow to purity by default.
 
-    `bootstrap=False` trains every tree on the full sample (so a single
-    tree becomes a deterministic function of the data, handy for tests).
+    Tree t trains on n rows drawn with replacement by
+    Prng(derive_seed(seed, t), 0). `bootstrap=False` trains every tree on
+    the full sample (so a single tree becomes a deterministic function of
+    the data, handy for tests). Trees grow in groups of about _GROUP_ROWS
+    training rows, each group one level per pass over all its open nodes.
+    Each node takes the split with the least summed squared error over all
+    features and all cuts between distinct values, at the cut's midpoint.
     """
     Xa = as_points(X, "X")
     ya = np.asarray(y, dtype=np.float64)
@@ -201,17 +319,28 @@ def trees_fit(
     if n_trees < 1:
         raise InvalidInputError("n_trees must be >= 1")
     n = Xa.shape[0]
-    trees = []
-    for t in range(n_trees):
-        if bootstrap:
-            idx = Prng(derive_seed(seed, t), 0).below(n, n)
-        else:
-            idx = np.arange(n)
-        tree = _Tree()
-        tree.build(Xa, ya, np.asarray(idx, dtype=np.int64), min_samples_split)
-        tree.freeze()
-        trees.append(tree)
-    return BaggedTrees(trees, Xa.shape[1])
+    if bootstrap:
+        draws = np.stack([Prng(derive_seed(seed, t), 0).below(n, n) for t in range(n_trees)])
+    else:
+        draws = np.tile(np.arange(n), (n_trees, 1))
+    # copies of one row never split apart, so a tree has at most one leaf
+    # per distinct row and at most 2 * distinct - 1 nodes
+    size = sum(2 * np.count_nonzero(np.bincount(d)) - 1 for d in draws)
+    forest = (np.zeros(size, dtype=np.int64), np.zeros(size),
+              np.zeros(size, dtype=np.int64), np.zeros(size))
+    ranks = np.stack([np.unique(Xa[:, f], return_inverse=True)[1].ravel()
+                      for f in range(Xa.shape[1])])
+    group = max(1, _GROUP_ROWS // n)
+    roots = []
+    base = depth = 0
+    for t0 in range(0, n_trees, group):
+        rows = draws[t0 : t0 + group]
+        roots.append(base + np.arange(rows.shape[0]))
+        base, levels = _grow_trees(Xa, ranks, ya, rows.flatten(), rows.shape[0],
+                                   min_samples_split, forest, base)
+        depth = max(depth, levels - 1)
+    return BaggedTrees(*(a[:base] for a in forest), roots=np.concatenate(roots),
+                       depth=depth, input_dim=Xa.shape[1])
 
 
 # ------------------------------------------------------ analytic functions

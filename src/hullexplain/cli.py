@@ -7,6 +7,7 @@ import os
 import sys
 import time
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -168,7 +169,10 @@ def _config_echo(args, skip=("cmd", "out_dir", "no_timestamp", "jobs")):
 
 
 def _drain_warnings(rec, rep):
-    rep.warnings.extend(sorted(f"{w.category.__name__}: {w.message}" for w in rec))
+    """Add each recorded warning to the report once, with a count if repeated."""
+    counts = Counter(f"{w.category.__name__}: {w.message}" for w in rec)
+    rep.warnings.extend(sorted(
+        message if n == 1 else f"{message} ({n} times)" for message, n in counts.items()))
 
 
 def _finish(rep, args, out: Path, t0: float):

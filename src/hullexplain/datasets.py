@@ -280,12 +280,6 @@ def save_csv(dataset: Dataset, path) -> None:
             writer.writerow([repr(float(c[i])) for c in cols])
 
 
-def segment_point(extremes, j1: int, j2: int, lam: float) -> np.ndarray:
-    """lam x*_j1 + (1 - lam) x*_j2, the edge-interpolation formula."""
-    ext = as_points(extremes, "extremes")
-    return lam * ext[j1] + (1.0 - lam) * ext[j2]
-
-
 def gen_edge_testset(train, l: int, seed: int = 0) -> np.ndarray:
     """Test points on random segments between extreme points of the train set.
 

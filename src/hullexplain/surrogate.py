@@ -194,19 +194,3 @@ def lime_explain(x0, predictor, cfg: LimeConfig, seed: int, stream: int = 0) -> 
     w = w / w.max()
     return fit_linear(samples, z, weights=w, ridge=cfg.ridge, with_intercept=True)
 
-
-def surrogate_mse(test_points, predictor, explanations):
-    """Pointwise squared explanation error and its mean.
-
-    Explanation i is scored at test point i: (f(x_i) - g_i(x_i))^2.
-    Returns (per-point squared errors, mean).
-    """
-    pts = as_points(test_points, "test_points")
-    if len(explanations) != pts.shape[0]:
-        raise InvalidInputError("need exactly one explanation per test point")
-    truth = predictor.predict(pts)
-    fitted = np.array(
-        [model.predict_one(x) for model, x in zip(explanations, pts)]
-    )
-    errors = (truth - fitted) ** 2
-    return errors, float(errors.mean())

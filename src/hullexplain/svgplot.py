@@ -144,32 +144,6 @@ def scatter_plot(xs, ys, *, title="", xlabel="", ylabel="", diagonal=False) -> s
     return "\n".join(parts) + "\n"
 
 
-def bar_plot(labels, values, *, title="", ylabel="") -> str:
-    values = _finite_array(values, "values")
-    labels = [str(lab) for lab in labels]
-    if len(labels) != values.size:
-        raise InvalidInputError("one label per bar required")
-    frame = _Frame(0.0, float(values.size), min(0.0, values.min()), max(0.0, values.max()))
-    parts = _open_svg(title)
-    _axes(parts, frame, "", ylabel)
-    base = frame.y(0.0)
-    for i, (label, value) in enumerate(zip(labels, values)):
-        left = frame.x(i + 0.15)
-        width = frame.x(i + 0.85) - left
-        top = min(frame.y(value), base)
-        height = abs(frame.y(value) - base)
-        parts.append(
-            f'<rect x="{_fmt(left)}" y="{_fmt(top)}" width="{_fmt(width)}" '
-            f'height="{_fmt(height)}" fill="{PALETTE[0]}"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(frame.x(i + 0.5))}" y="{HEIGHT - MARGIN_B + 18}" '
-            f'text-anchor="middle">{escape(label)}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
 def line_plot(x, series, *, title="", xlabel="", ylabel="") -> str:
     """series: list of (name, y-values) drawn over the shared x."""
     x = _finite_array(x, "x")

@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+from hullexplain import blackbox
 from hullexplain.blackbox import (
     ANALYTIC_FUNCTIONS,
     analytic,
@@ -12,7 +13,7 @@ from hullexplain.blackbox import (
     trees_fit,
 )
 from hullexplain.errors import ConfigError, InvalidInputError, PredictorIOError
-from hullexplain.rng import Prng
+from hullexplain.rng import Prng, derive_seed
 
 
 class TestKnn:
@@ -112,6 +113,206 @@ class TestBaggedTrees:
         X = np.arange(10, dtype=float)[:, None]
         model = trees_fit(X, np.full(10, 3.25), n_trees=3, seed=0)
         assert model.predict([[100.0]]).tolist() == [3.25]
+
+
+# ------------------------------------------------ reference forest (oracle)
+# The node-by-node builder and the per-tree traversal the flat forest
+# replaced, kept as the definition of the ensemble's predictions. The one
+# addition, `reach`, records a training row of each node, so a query can
+# be placed exactly on the node's threshold and still reach the node.
+
+class _RefTree:
+    def __init__(self):
+        self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
+        self.reach = []
+
+    def build(self, X, y, root_idx, min_split):
+        stack = [(root_idx, -1, False)]
+        while stack:
+            idx, parent, is_left = stack.pop()
+            node = len(self.feature)
+            self.feature.append(-1)
+            self.threshold.append(0.0)
+            self.left.append(-1)
+            self.right.append(-1)
+            self.value.append(float(y[idx].mean()))
+            self.reach.append(int(idx[0]))
+            if parent >= 0:
+                if is_left:
+                    self.left[parent] = node
+                else:
+                    self.right[parent] = node
+            n = idx.size
+            if n < min_split or np.all(y[idx] == y[idx][0]):
+                continue
+            best = None  # (sse, feature, threshold, order, pos)
+            ysub = y[idx]
+            for f in range(X.shape[1]):
+                xv = X[idx, f]
+                order = np.argsort(xv, kind="stable")
+                xs = xv[order]
+                ys = ysub[order]
+                cut = np.nonzero(xs[1:] > xs[:-1])[0]
+                if cut.size == 0:
+                    continue
+                csum = np.cumsum(ys)
+                csq = np.cumsum(ys * ys)
+                total, total_sq = csum[-1], csq[-1]
+                nl = cut + 1.0
+                nr = n - nl
+                sl = csum[cut]
+                sse = (csq[cut] - sl * sl / nl) + (total_sq - csq[cut] - (total - sl) ** 2 / nr)
+                j = int(np.argmin(sse))
+                if best is None or sse[j] < best[0] - 1e-12:
+                    thr = 0.5 * (xs[cut[j]] + xs[cut[j] + 1])
+                    best = (float(sse[j]), f, thr, order, int(cut[j]))
+            if best is None:
+                continue
+            _, f, thr, order, pos = best
+            self.feature[node] = f
+            self.threshold[node] = thr
+            stack.append((idx[order[pos + 1 :]], node, False))
+            stack.append((idx[order[: pos + 1]], node, True))
+        for name in ("feature", "left", "right"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        self.threshold = np.asarray(self.threshold, dtype=np.float64)
+        self.value = np.asarray(self.value, dtype=np.float64)
+        return self
+
+    def predict(self, Q):
+        node = np.zeros(Q.shape[0], dtype=np.int64)
+        pending = self.feature[node] >= 0
+        rows = np.arange(Q.shape[0])
+        while pending.any():
+            at = node[pending]
+            f = self.feature[at]
+            goes_left = Q[rows[pending], f] <= self.threshold[at]
+            node[pending] = np.where(goes_left, self.left[at], self.right[at])
+            pending = self.feature[node] >= 0
+        return self.value[node]
+
+
+def _reference_trees(X, y, n_trees, seed=0, bootstrap=True, min_samples_split=2):
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = X.shape[0]
+    trees = []
+    for t in range(n_trees):
+        idx = Prng(derive_seed(seed, t), 0).below(n, n) if bootstrap else np.arange(n)
+        trees.append(_RefTree().build(X, y, np.asarray(idx, dtype=np.int64), min_samples_split))
+    return trees
+
+
+def _reference_predict(trees, Q):
+    acc = np.zeros(Q.shape[0])
+    for tree in trees:
+        acc += tree.predict(Q)
+    return acc / len(trees)
+
+
+def _golden_queries(X, trees, seed):
+    """Training rows, jittered rows, rows exactly on split thresholds, far rows."""
+    prng = Prng(seed, 1)
+    n, m = X.shape
+    jitter = X + 1e-3 * prng.normal(n * m).reshape(n, m)
+    on_split = []
+    for tree in trees:
+        # a node's midpoint lies on its side of every ancestor's threshold
+        for node in np.flatnonzero(tree.feature >= 0):
+            row = X[tree.reach[node]].copy()
+            row[tree.feature[node]] = tree.threshold[node]
+            on_split.append(row)
+    span = X.max(axis=0) - X.min(axis=0) + 1.0
+    far = np.vstack([X.min(axis=0) - 1e3 * span, X.max(axis=0) + 1e3 * span,
+                     np.where(np.arange(m) % 2 == 0, -1e6, 1e6)])
+    return np.vstack([X, jitter, np.reshape(on_split, (-1, m)), far])
+
+
+def _golden_datasets():
+    p = Prng(11, 0)
+    x4 = p.uniform(120, -1, 1).reshape(30, 4)
+    y4 = np.sin(3 * x4[:, 0]) + x4[:, 1] * x4[:, 2] + 0.1 * p.normal(30)
+    dup = np.repeat(p.uniform(20, 0, 1).reshape(10, 2), 3, axis=0)
+    tied = np.column_stack([np.round(p.uniform(40, 0, 4)), np.round(p.uniform(40, 0, 2))])
+    const_feature = np.column_stack([p.uniform(25, 0, 1), np.full(25, 0.5)])
+    # leaves of 12 rows with no cut: their means are pairwise sums
+    same_x = np.repeat(np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]]), 12, axis=0)
+    chain = np.linspace(0.0, 1.0, 60)[:, None]
+    q = Prng(4, 0)
+    mixed = np.column_stack([q.uniform(30, 0, 1), np.round(q.uniform(30, 0, 3))])
+    return {
+        "4d": (x4, y4),
+        # cuts after the first and the fourth row tie exactly on SSE
+        "tied-sse": (np.arange(5.0)[:, None], np.array([0.0, 1.0, 1.0, 1.0, 0.0])),
+        # small targets next to 1e6 ones: prefix sums must restart per node
+        "mixed-magnitude": (mixed, np.round(q.normal(30), 1) + np.where(mixed[:, 0] < 0.5, 1e6, 0.0)),
+        "duplicate-rows": (dup, p.normal(30)),
+        "tied-x": (tied, tied[:, 0] - 2 * tied[:, 1] + 0.25 * p.normal(40)),
+        "constant-feature": (const_feature, p.normal(25)),
+        "identical-x-different-y": (same_x, p.normal(36)),
+        "deep-chain": (chain, 2.0 ** np.arange(60)),
+    }
+
+
+class TestFlatForestMatchesReference:
+    """The level-wise forest predicts bit for bit what the node-by-node trees did."""
+
+    @pytest.mark.parametrize("name", sorted(_golden_datasets()))
+    @pytest.mark.parametrize("bootstrap,min_split", [(True, 2), (True, 5), (False, 2), (False, 5)])
+    def test_bitwise_equal(self, name, bootstrap, min_split):
+        X, y = _golden_datasets()[name]
+        n_trees = 7 if bootstrap else 2
+        ref = _reference_trees(X, y, n_trees, seed=3, bootstrap=bootstrap,
+                               min_samples_split=min_split)
+        Q = _golden_queries(X, ref, seed=len(name))
+        model = trees_fit(X, y, n_trees=n_trees, seed=3, bootstrap=bootstrap,
+                          min_samples_split=min_split)
+        assert model.predict(Q).tobytes() == _reference_predict(ref, Q).tobytes()
+
+    def test_bitwise_equal_on_ring_ensemble(self):
+        prng = Prng(12, 0)
+        X = prng.uniform(400, -1, 1).reshape(200, 2)
+        y = X[:, 0] ** 2 + X[:, 1] ** 2
+        ref = _reference_trees(X, y, 40, seed=9)
+        Q = _golden_queries(X, ref[:3], seed=12)
+        model = trees_fit(X, y, n_trees=40, seed=9)
+        assert model.predict(Q).tobytes() == _reference_predict(ref, Q).tobytes()
+
+    @pytest.mark.parametrize("group_rows", [1, 64, 10**6])
+    def test_tree_groups_do_not_change_predictions(self, monkeypatch, group_rows):
+        # trees grow in groups of about _GROUP_ROWS rows; from one tree per
+        # group to all trees in one, the forest must predict the same. At
+        # seed 1 the last two trees are shallower than the first four.
+        X, y = _golden_datasets()["4d"]
+        ref = _reference_trees(X, y, 6, seed=1)
+        Q = _golden_queries(X, ref, seed=8)
+        monkeypatch.setattr(blackbox, "_GROUP_ROWS", group_rows)
+        model = trees_fit(X, y, n_trees=6, seed=1)
+        assert model.predict(Q).tobytes() == _reference_predict(ref, Q).tobytes()
+
+    def test_threshold_rows_go_left(self):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([5.0, 6.0, 7.0, 8.0])
+        model = trees_fit(X, y, n_trees=1, bootstrap=False)
+        assert model.predict([[0.5], [1.5], [2.5]]).tolist() == [5.0, 6.0, 7.0]
+
+    @pytest.mark.parametrize("name", ["tied-x", "duplicate-rows", "4d"])
+    def test_batch_equals_single_rows_on_thresholds(self, name):
+        X, y = _golden_datasets()[name]
+        model = trees_fit(X, y, n_trees=9, seed=4)
+        Q = _golden_queries(X, _reference_trees(X, y, 9, seed=4), seed=5)
+        batch = model.predict(Q)
+        singles = np.array([model.predict_one(q) for q in Q])
+        assert batch.tobytes() == singles.tobytes()
+
+    def test_large_batch_spans_chunks(self):
+        prng = Prng(13, 0)
+        X = prng.uniform(120, 0, 1).reshape(60, 2)
+        y = prng.normal(60)
+        model = trees_fit(X, y, n_trees=50, seed=1)
+        Q = prng.uniform(6000, -0.1, 1.1).reshape(3000, 2)
+        want = _reference_predict(_reference_trees(X, y, 50, seed=1), Q)
+        assert model.predict(Q).tobytes() == want.tobytes()
 
 
 class TestAnalytic:

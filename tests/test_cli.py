@@ -1,11 +1,14 @@
 """End-to-end command-line behavior: files, determinism, exit codes."""
 import csv
+import warnings
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hullexplain.cli import main
+from hullexplain.cli import _drain_warnings, main
+from hullexplain.errors import RankDeficiencyWarning
 from hullexplain.report import read_report
 
 
@@ -93,6 +96,32 @@ class TestExplain:
         assert rc == 0
         rep = read_report(out / "report.txt")
         assert any("RankDeficiencyWarning" in w for w in rep.warnings)
+
+    def test_repeated_warning_written_once_with_count(self, tmp_path):
+        # with 4 neighbours in 7-D every local recovery is underdetermined
+        rc = run("explain", "--synthetic", "feat-ex1", "--blackbox", "analytic",
+                 "--K", "4", "--points", "40", "--seed", "1", "--jobs", "1",
+                 "--out-dir", str(tmp_path), "--no-timestamp")
+        assert rc == 0
+        assert read_report(tmp_path / "report.txt").warnings == [
+            "RankDeficiencyWarning: only 4 extreme points for 7 features; "
+            "primal coefficients are underdetermined (40 times)"
+        ]
+
+    def test_warning_lines_sorted_and_single_ones_unchanged(self):
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            warnings.warn("b twice", RankDeficiencyWarning)
+            warnings.warn("c once", RankDeficiencyWarning)
+            warnings.warn("a once", UserWarning)
+            warnings.warn("b twice", RankDeficiencyWarning)
+        rep = SimpleNamespace(warnings=[])
+        _drain_warnings(rec, rep)
+        assert rep.warnings == [
+            "RankDeficiencyWarning: b twice (2 times)",
+            "RankDeficiencyWarning: c once",
+            "UserWarning: a once",
+        ]
 
     def test_csv_dataset_round(self, tmp_path):
         assert run("gen-data", "--id", "feat-ex3", "--seed", "2",

@@ -24,7 +24,6 @@ from hullexplain.datasets import (
     lambda_function,
     load_csv,
     save_csv,
-    segment_point,
 )
 from hullexplain.errors import (
     DataFormatError,
@@ -252,11 +251,6 @@ class TestCcppFixture:
 
 
 class TestEdgeTestset:
-    def test_segment_endpoints(self):
-        ext = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
-        assert np.array_equal(segment_point(ext, 1, 2, 1.0), ext[1])
-        assert np.array_equal(segment_point(ext, 1, 2, 0.0), ext[2])
-
     def test_points_inside_training_hull(self):
         train = gen_ring(200, (0.0, 4.0), seed=6)
         pts = gen_edge_testset(train, 40, seed=1)

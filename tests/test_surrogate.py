@@ -14,11 +14,9 @@ from hullexplain.errors import InvalidInputError, RankDeficiencyWarning
 from hullexplain.rng import Prng
 from hullexplain.surrogate import (
     LimeConfig,
-    LinearModel,
     fit_linear,
     lime_explain,
     recover_primal,
-    surrogate_mse,
 )
 
 
@@ -197,42 +195,3 @@ class TestLime:
             LimeConfig(v=0.0).validate(2)
         with pytest.raises(InvalidInputError):
             LimeConfig(cov_diag=-1.0).validate(2)
-
-
-class TestSurrogateMse:
-    def test_perfect_explanation_scores_zero(self):
-        pred = analytic("quad2")
-        pts = np.array([[0.5, 0.5], [0.2, 0.9]])
-        models = [
-            LinearModel(np.array([-2 * x[0], 2.0]), intercept=x[0] ** 2) for x in pts
-        ]
-        errors, mean = surrogate_mse(pts, pred, models)
-        assert np.allclose(errors, 0.0, atol=1e-12)
-        assert mean == 0.0
-
-    def test_constant_offset_scores_one(self):
-        pred = analytic("quad2")
-        pts = np.array([[0.5, 0.5], [0.2, 0.9]])
-        models = [
-            LinearModel(np.array([-2 * x[0], 2.0]), intercept=x[0] ** 2 + 1.0)
-            for x in pts
-        ]
-        errors, mean = surrogate_mse(pts, pred, models)
-        assert np.allclose(errors, 1.0, atol=1e-12)
-        assert abs(mean - 1.0) < 1e-12
-
-    def test_hand_computed_three_point_case(self):
-        pred = analytic("ring")  # f = x1^2 + x2^2
-        pts = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
-        models = [
-            LinearModel(np.array([1.0, 0.0])),   # g = 1 vs f = 1 -> 0
-            LinearModel(np.array([0.0, 1.0])),   # g = 2 vs f = 4 -> 4
-            LinearModel(np.array([2.0, 2.0]), intercept=-1.0),  # g = 3 vs f = 2 -> 1
-        ]
-        errors, mean = surrogate_mse(pts, pred, models)
-        assert errors.tolist() == [0.0, 4.0, 1.0]
-        assert abs(mean - 5.0 / 3.0) < 1e-12
-
-    def test_count_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            surrogate_mse(np.eye(2), analytic("ring"), [LinearModel(np.zeros(2))])

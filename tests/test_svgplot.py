@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hullexplain.errors import InvalidInputError
-from hullexplain.svgplot import bar_plot, line_plot, nice_ticks, scatter_plot
+from hullexplain.svgplot import line_plot, nice_ticks, scatter_plot
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -75,31 +75,6 @@ class TestScatter:
     def test_constant_data_still_renders(self):
         svg = scatter_plot(np.array([2.0, 2.0]), np.array([5.0, 5.0]))
         ET.fromstring(svg)
-
-
-class TestBars:
-    def test_bar_count(self):
-        svg = bar_plot(["a", "b", "c"], np.array([1.0, 2.0, 3.0]), title="bars")
-        rects = list(tags(svg, "rect"))
-        # one background rect plus one per bar
-        assert len(rects) == 4
-
-    def test_negative_values(self):
-        svg = bar_plot(["up", "down"], np.array([1.0, -2.0]))
-        root = ET.fromstring(svg)
-        bars = [r for r in root.iter(SVG + "rect")][1:]
-        heights = [float(r.get("height")) for r in bars]
-        assert all(h > 0 for h in heights)
-        # pixel coordinates are written at 6 significant digits
-        assert abs(heights[1] - 2 * heights[0]) < 0.01
-
-    def test_labels_in_output(self):
-        svg = bar_plot(["lambda_1", "lambda_2"], np.array([0.3, 0.7]))
-        assert "lambda_1" in svg and "lambda_2" in svg
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            bar_plot(["a"], np.array([1.0, 2.0]))
 
 
 class TestLines:
