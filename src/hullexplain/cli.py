@@ -3,12 +3,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
 import warnings
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +25,7 @@ from .datasets import (
 )
 from .errors import ConfigError, TrainingError
 from .explainer import DualConfig, explain_global, explain_local, feature_importance
-from .report import PointResult, new_report, write_report
+from .report import PointResult, RunReport, new_report, write_report
 from .surrogate import LimeConfig, fit_linear, lime_explain
 from .svgplot import line_plot, scatter_plot
 
@@ -68,7 +66,8 @@ def _add_common_flags(p):
     p.add_argument("--n-lambda", type=int, default=30, help="simplex samples per fit")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker threads (default: available parallelism)")
+                   help="accepted for compatibility; has no effect (every command "
+                        "runs on one thread)")
     p.add_argument("--out-dir", default=".", help="directory for report and plots")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit timestamp and timing from the report")
@@ -151,11 +150,6 @@ def _build_predictor(args, ds: Dataset):
     return external_predictor(args.external_cmd, input_dim=ds.m)
 
 
-def _pool(args):
-    jobs = args.jobs if args.jobs and args.jobs > 0 else (os.cpu_count() or 1)
-    return ThreadPoolExecutor(max_workers=jobs)
-
-
 def _config_echo(args, skip=("cmd", "out_dir", "no_timestamp", "jobs")):
     echo = {}
     for key in sorted(vars(args)):
@@ -175,65 +169,49 @@ def _drain_warnings(rec, rep):
         message if n == 1 else f"{message} ({n} times)" for message, n in counts.items()))
 
 
-def _finish(rep, args, out: Path, t0: float):
-    if not args.no_timestamp:
-        rep.elapsed = round(time.time() - t0, 3)
-    path = out / "report.txt"
-    write_report(rep, path)
-    print(f"wrote {path}")
-
-
-def cmd_explain(args) -> int:
-    t0 = time.time()
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_explain(args, out: Path) -> RunReport:
     ds = _load_dataset(args)
     predictor = _build_predictor(args, ds)
     rep = new_report("explain", args.seed, _config_echo(args),
                      stamped=not args.no_timestamp)
     base = dict(K=args.K, n_lambda=args.n_lambda, seed=args.seed)
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        if args.global_fit:
-            expl = explain_global(ds.x, predictor, DualConfig(**base))
-            rep.aggregates["a"] = expl.a
-            rep.aggregates["intercept"] = expl.intercept
-            rep.aggregates["d"] = expl.poly.d
-            rep.aggregates["importance-normalized"] = feature_importance(expl, "normalized")
-            rep.aggregates["fit-residual-rms"] = expl.diagnostics["fit_residual_rms"]
-        else:
-            total = ds.n if args.points is None else min(args.points, ds.n)
-
-            def one(i: int):
-                x0 = ds.x[i]
-                expl = explain_local(x0, ds.x, predictor, DualConfig(**base, stream=i))
-                err = float(predictor.predict(x0[None, :])[0] - expl.model.predict_one(x0))
-                return expl, err * err
-
-            with _pool(args) as pool:
-                results = list(pool.map(one, range(total)))
-            for i, (expl, mse) in enumerate(results):
-                rep.points.append(PointResult(index=i, values={
-                    "a": expl.a,
-                    "intercept": expl.intercept,
-                    "b": expl.b,
-                    "d": expl.poly.d,
-                    "mse": mse,
-                }))
-            amat = np.array([expl.a for expl, _ in results])
-            mses = np.array([m for _, m in results])
-            rep.aggregates["mean-a"] = amat.mean(axis=0)
-            rep.aggregates["std-a"] = amat.std(axis=0, ddof=1) if total > 1 else np.zeros(ds.m)
-            rep.aggregates["mean-mse"] = float(mses.mean())
-            rep.aggregates["median-mse"] = float(np.median(mses))
-            with open(out / "points.csv", "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["index"] + [f"a_{name}" for name in ds.feature_names])
-                for i, (expl, _) in enumerate(results):
-                    writer.writerow([i] + [repr(float(v)) for v in expl.a])
-    _drain_warnings(rec, rep)
-    _finish(rep, args, out, t0)
-    return 0
+    if args.global_fit:
+        expl = explain_global(ds.x, predictor, DualConfig(**base))
+        rep.aggregates["a"] = expl.a
+        rep.aggregates["intercept"] = expl.intercept
+        rep.aggregates["d"] = expl.poly.d
+        rep.aggregates["importance-normalized"] = feature_importance(expl, "normalized")
+        rep.aggregates["fit-residual-rms"] = expl.diagnostics["fit_residual_rms"]
+        return rep
+    if args.points is not None and args.points < 1:
+        raise ConfigError("--points must be at least 1")
+    total = ds.n if args.points is None else min(args.points, ds.n)
+    truth = predictor.predict(ds.x[:total])
+    amat = np.empty((total, ds.m))
+    mses = np.empty(total)
+    for i in range(total):
+        x0 = ds.x[i]
+        expl = explain_local(x0, ds.x, predictor, DualConfig(**base, stream=i))
+        err = float(truth[i] - expl.model.predict_one(x0))
+        mse = err * err
+        amat[i], mses[i] = expl.a, mse
+        rep.points.append(PointResult(index=i, values={
+            "a": expl.a,
+            "intercept": expl.intercept,
+            "b": expl.b,
+            "d": expl.poly.d,
+            "mse": mse,
+        }))
+    rep.aggregates["mean-a"] = amat.mean(axis=0)
+    rep.aggregates["std-a"] = amat.std(axis=0, ddof=1) if total > 1 else np.zeros(ds.m)
+    rep.aggregates["mean-mse"] = float(mses.mean())
+    rep.aggregates["median-mse"] = float(np.median(mses))
+    with open(out / "points.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index"] + [f"a_{name}" for name in ds.feature_names])
+        for i, a in enumerate(amat):
+            writer.writerow([i] + [repr(float(v)) for v in a])
+    return rep
 
 
 def _parse_cov(text: str):
@@ -247,10 +225,7 @@ def _parse_cov(text: str):
     return values[0] if len(values) == 1 else np.array(values)
 
 
-def cmd_compare(args) -> int:
-    t0 = time.time()
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_compare(args, out: Path) -> RunReport:
     ds = _load_dataset(args)
     predictor = _build_predictor(args, ds)
     tests = gen_edge_testset(ds.x, args.points, seed=args.seed)
@@ -259,8 +234,8 @@ def cmd_compare(args) -> int:
     rep = new_report("compare", args.seed, _config_echo(args),
                      stamped=not args.no_timestamp)
     truth = predictor.predict(tests)
-
-    def one(i: int):
+    pairs = []
+    for i in range(args.points):
         x0 = tests[i]
         dual = explain_local(x0, ds.x, predictor,
                              DualConfig(K=args.K, n_lambda=args.n_lambda,
@@ -268,13 +243,7 @@ def cmd_compare(args) -> int:
         lime = lime_explain(x0, predictor, lime_cfg, seed=args.seed, stream=i)
         e_dual = float(truth[i] - dual.model.predict_one(x0))
         e_lime = float(truth[i] - lime.predict_one(x0))
-        return e_dual * e_dual, e_lime * e_lime
-
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        with _pool(args) as pool:
-            pairs = list(pool.map(one, range(args.points)))
-    _drain_warnings(rec, rep)
+        pairs.append((e_dual * e_dual, e_lime * e_lime))
     dual_mse = np.array([p[0] for p in pairs])
     lime_mse = np.array([p[1] for p in pairs])
     for i, (dm, lm) in enumerate(pairs):
@@ -292,14 +261,10 @@ def cmd_compare(args) -> int:
                        xlabel="dual surrogate MSE", ylabel="perturbation baseline MSE",
                        diagonal=True)
     (out / "mse-scatter.svg").write_text(svg, encoding="utf-8")
-    _finish(rep, args, out, t0)
-    return 0
+    return rep
 
 
-def cmd_examples(args) -> int:
-    t0 = time.time()
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_examples(args, out: Path) -> RunReport:
     exp = args.synthetic
     ds = generate(SyntheticSpec(exp, seed=args.seed))
     fn = lambda_function(exp)
@@ -309,24 +274,21 @@ def cmd_examples(args) -> int:
                       "alpha": EXPERIMENT_ALPHAS[exp],
                       "net-seed": EXPERIMENT_NET_SEEDS[exp]},
                      stamped=not args.no_timestamp)
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        rows = {}
-        curves = {}
-        for k in range(d):
-            curves[k] = example_based.ale_curve(ds.x, k, fn)
-        rows["ale"] = example_based.importances(ds.x, ds.y, "ale", fn=fn)
-        rows["lr"] = example_based.importances(ds.x, ds.y, "lr")
-        net = nam.AdditiveNet(d, seed=EXPERIMENT_NET_SEEDS[exp])
-        cfg = nam.TrainConfig(alpha=EXPERIMENT_ALPHAS[exp], seed=0)
-        try:
-            net, history = nam.train(net, ds.x, ds.y, cfg)
-        except TrainingError as exc:
-            raise TrainingError(
-                f"{exc} (net seed {EXPERIMENT_NET_SEEDS[exp]}, train seed {cfg.seed})"
-            ) from exc
-        rows["nam"] = example_based.importances(ds.x, ds.y, "nam", nam_model=net)
-    _drain_warnings(rec, rep)
+    rows = {}
+    curves = {}
+    for k in range(d):
+        curves[k] = example_based.ale_curve(ds.x, k, fn)
+    rows["ale"] = example_based.importances(ds.x, ds.y, "ale", fn=fn)
+    rows["lr"] = example_based.importances(ds.x, ds.y, "lr")
+    net = nam.AdditiveNet(d, seed=EXPERIMENT_NET_SEEDS[exp])
+    cfg = nam.TrainConfig(alpha=EXPERIMENT_ALPHAS[exp], seed=0)
+    try:
+        net, history = nam.train(net, ds.x, ds.y, cfg)
+    except TrainingError as exc:
+        raise TrainingError(
+            f"{exc} (net seed {EXPERIMENT_NET_SEEDS[exp]}, train seed {cfg.seed})"
+        ) from exc
+    rows["nam"] = example_based.importances(ds.x, ds.y, "nam", nam_model=net)
     for method, imp in rows.items():
         rep.aggregates[f"{method}-raw"] = imp.raw
         rep.aggregates[f"{method}-normalized"] = imp.normalized
@@ -356,8 +318,7 @@ def cmd_examples(args) -> int:
         svg = line_plot(grid, series, title=f"Shape functions, coordinate {k + 1}",
                         xlabel=f"lambda_{k + 1}", ylabel="centered effect")
         (out / f"shape-coord{k + 1}.svg").write_text(svg, encoding="utf-8")
-    _finish(rep, args, out, t0)
-    return 0
+    return rep
 
 
 def cmd_gen_data(args) -> int:
@@ -370,18 +331,39 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-DISPATCH = {
+REPORT_COMMANDS = {
     "explain": cmd_explain,
     "compare": cmd_compare,
     "examples": cmd_examples,
-    "gen-data": cmd_gen_data,
 }
+
+
+def _run_report(command, args) -> int:
+    """Run a report command on this thread and write its report.txt.
+
+    Every warning the command raises is recorded and written to the report.
+    """
+    t0 = time.time()
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        rep = command(args, out)
+    _drain_warnings(rec, rep)
+    if not args.no_timestamp:
+        rep.elapsed = round(time.time() - t0, 3)
+    path = out / "report.txt"
+    write_report(rep, path)
+    print(f"wrote {path}")
+    return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return DISPATCH[args.cmd](args)
+        if args.cmd == "gen-data":
+            return cmd_gen_data(args)
+        return _run_report(REPORT_COMMANDS[args.cmd], args)
     except ValueError as exc:  # config, input, and data-format problems
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -51,26 +51,6 @@ class Dataset:
     def m(self) -> int:
         return self.x.shape[1]
 
-    def denormalize(self, points) -> np.ndarray:
-        """Map Z-scored coordinates back to the original feature scale."""
-        if self.normalization is None:
-            return np.asarray(points, dtype=np.float64).copy()
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        mean = np.array([m for m, _ in self.normalization])
-        std = np.array([s for _, s in self.normalization])
-        out = pts * std + mean
-        return out[0] if np.ndim(points) == 1 else out
-
-    def normalize_new(self, points) -> np.ndarray:
-        """Apply this dataset's stored Z-score transform to new points."""
-        if self.normalization is None:
-            return np.asarray(points, dtype=np.float64).copy()
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        mean = np.array([m for m, _ in self.normalization])
-        std = np.array([s for _, s in self.normalization])
-        out = (pts - mean) / std
-        return out[0] if np.ndim(points) == 1 else out
-
 
 @dataclass
 class SyntheticSpec:

@@ -1,5 +1,5 @@
-"""Linear surrogate machinery: weighted ridge least squares, primal
-coefficient recovery, and the Gaussian-perturbation baseline explainer.
+"""Linear surrogate machinery: weighted least squares, primal coefficient
+recovery, and the Gaussian-perturbation baseline explainer.
 
 The dual explainer fits its no-intercept model in simplex coordinates
 with fit_linear and then maps the coefficients back to feature space with
@@ -27,7 +27,6 @@ class LinearModel:
 
     coefficients: np.ndarray
     intercept: float = 0.0
-    ridge: float = 0.0
 
     def predict(self, X) -> np.ndarray:
         arr = as_points(X, "X", dim=self.coefficients.shape[0])
@@ -41,13 +40,11 @@ def fit_linear(
     inputs,
     targets,
     weights=None,
-    ridge: float = 0.0,
     with_intercept: bool = True,
 ) -> LinearModel:
-    """Solve min_a sum_i w_i (t_i - a.x_i - c)^2 + ridge ||a||^2.
+    """Solve min_a sum_i w_i (t_i - a.x_i - c)^2 by weighted least squares.
 
-    The ridge penalty never touches the intercept. Solved through an
-    orthogonal factorization of the sqrt-weight-scaled, ridge-augmented
+    Solved through an orthogonal factorization of the sqrt-weight-scaled
     design; a rank-deficient design is resolved in the minimum-norm sense
     and reported with a rank-deficiency warning.
     """
@@ -58,8 +55,6 @@ def fit_linear(
         raise InvalidInputError("targets must be a vector matching the rows of inputs")
     if not np.all(np.isfinite(t)):
         raise InvalidInputError("targets contain non-finite values")
-    if ridge < 0:
-        raise InvalidInputError("ridge must be nonnegative")
 
     if weights is not None:
         w = np.asarray(weights, dtype=np.float64)
@@ -83,18 +78,9 @@ def fit_linear(
         design = design * root[:, None]
         rhs = rhs * root
 
-    if ridge > 0.0:
-        # the rank reported is the design's, not the augmented system's
-        rank = np.linalg.matrix_rank(design)
-        aug = np.zeros((m, cols))
-        aug[:, :m] = np.sqrt(ridge) * np.eye(m)
-        design = np.vstack([design, aug])
-        rhs = np.concatenate([rhs, np.zeros(m)])
-        sol = np.linalg.lstsq(design, rhs, rcond=None)[0]
-    else:
-        # lstsq counts singular values above matrix_rank's default
-        # threshold, eps * max(n, cols) * s_max
-        sol, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
+    # lstsq counts singular values above matrix_rank's default
+    # threshold, eps * max(n, cols) * s_max
+    sol, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < cols:
         warnings.warn(
             "rank-deficient design; coefficients are the minimum-norm solution",
@@ -103,7 +89,7 @@ def fit_linear(
         )
     coef = sol[:m]
     intercept = float(sol[m]) if with_intercept else 0.0
-    return LinearModel(coefficients=coef, intercept=intercept, ridge=float(ridge))
+    return LinearModel(coefficients=coef, intercept=intercept)
 
 
 def recover_primal(b, extremes) -> np.ndarray:
@@ -143,7 +129,6 @@ class LimeConfig:
     n_samples: int = 30
     cov_diag: float | np.ndarray = 0.05  # per-feature sampling variance
     v: float = 0.01                      # variance of the random weight draw
-    ridge: float = 0.0
 
     def variances(self, m: int) -> np.ndarray:
         var = np.asarray(self.cov_diag, dtype=np.float64)
@@ -192,5 +177,5 @@ def lime_explain(x0, predictor, cfg: LimeConfig, seed: int, stream: int = 0) -> 
         )
         w = np.maximum(w, 1e-300)
     w = w / w.max()
-    return fit_linear(samples, z, weights=w, ridge=cfg.ridge, with_intercept=True)
+    return fit_linear(samples, z, weights=w, with_intercept=True)
 

@@ -6,7 +6,6 @@ and the core mathematical properties. Reference rows and their frozen
 run seeds live next to the assertions.
 """
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,29 +32,21 @@ FIXTURE = "tests/data/ccpp_fixture.csv"
 
 def explain_all(ds, predictor, cfg_base, count=None):
     total = ds.n if count is None else count
-
-    def one(i):
-        return explain_local(ds.x[i], ds.x, predictor,
-                             DualConfig(**cfg_base, stream=i))
-
-    with ThreadPoolExecutor() as pool:
-        return list(pool.map(one, range(total)))
+    return [explain_local(ds.x[i], ds.x, predictor, DualConfig(**cfg_base, stream=i))
+            for i in range(total)]
 
 
 def median_mse_pair(train_x, tests, bb, dual_cfg, lime_cfg, seed):
     truth = bb.predict(tests)
-
-    def one(j):
-        x0 = tests[j]
+    pairs = []
+    for j, x0 in enumerate(tests):
         dual = explain_local(x0, train_x, bb,
                              DualConfig(**dual_cfg, seed=seed, stream=j))
         lime = lime_explain(x0, bb, lime_cfg, seed=seed, stream=j)
         e_d = truth[j] - dual.model.predict_one(x0)
         e_l = truth[j] - lime.predict_one(x0)
-        return e_d * e_d, e_l * e_l
-
-    with ThreadPoolExecutor() as pool:
-        pairs = np.array(list(pool.map(one, range(len(tests)))))
+        pairs.append((e_d * e_d, e_l * e_l))
+    pairs = np.array(pairs)
     return float(np.median(pairs[:, 0])), float(np.median(pairs[:, 1]))
 
 

@@ -97,15 +97,17 @@ class TestExplain:
         rep = read_report(out / "report.txt")
         assert any("RankDeficiencyWarning" in w for w in rep.warnings)
 
-    def test_repeated_warning_written_once_with_count(self, tmp_path):
-        # with 4 neighbours in 7-D every local recovery is underdetermined
+    @pytest.mark.parametrize("jobs, points", [("1", "40"), ("4", "200")])
+    def test_repeated_warning_written_once_with_count(self, tmp_path, jobs, points):
+        # with 4 neighbours in 7-D every local recovery is underdetermined;
+        # the count must not depend on --jobs
         rc = run("explain", "--synthetic", "feat-ex1", "--blackbox", "analytic",
-                 "--K", "4", "--points", "40", "--seed", "1", "--jobs", "1",
+                 "--K", "4", "--points", points, "--seed", "1", "--jobs", jobs,
                  "--out-dir", str(tmp_path), "--no-timestamp")
         assert rc == 0
         assert read_report(tmp_path / "report.txt").warnings == [
             "RankDeficiencyWarning: only 4 extreme points for 7 features; "
-            "primal coefficients are underdetermined (40 times)"
+            f"primal coefficients are underdetermined ({points} times)"
         ]
 
     def test_warning_lines_sorted_and_single_ones_unchanged(self):
@@ -247,6 +249,13 @@ class TestExitCodes:
 
     def test_neither_source(self, tmp_path):
         assert run("explain", "--out-dir", str(tmp_path)) == 2
+
+    def test_explain_needs_a_point(self, tmp_path, capsys):
+        rc = run("explain", "--synthetic", "feat-ex3", "--blackbox", "analytic",
+                 "--points", "0", "--out-dir", str(tmp_path))
+        assert rc == 2
+        assert "--points" in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
 
     def test_analytic_needs_synthetic(self, tmp_path):
         data = tmp_path / "d.csv"

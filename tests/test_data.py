@@ -164,13 +164,6 @@ class TestLoadCsv:
         assert ds.feature_names == ["a", "b"]
         assert ds.target_name == "t"
 
-    def test_zscore_roundtrip(self, tmp_path):
-        p = self.write(tmp_path, "a,b\n1.5,-3\n2.5,9\n4,0.25\n8,1\n")
-        plain = load_csv(p)
-        normed = load_csv(p, zscore=True)
-        assert np.max(np.abs(normed.denormalize(normed.x) - plain.x)) < 1e-9
-        assert np.max(np.abs(normed.normalize_new(plain.x) - normed.x)) < 1e-9
-
     def test_zscore_idempotent_on_standardized(self, tmp_path):
         s = math.sqrt(2.0 / 3.0)
         col = np.array([-1.0, 0.0, 1.0]) / s

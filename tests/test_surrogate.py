@@ -1,4 +1,4 @@
-"""Linear surrogates: weighted ridge fitting, primal recovery, baseline explainer.
+"""Linear surrogates: weighted least-squares fitting, primal recovery, baseline explainer.
 
 Derived expectations come from independent oracles: a dense
 normal-equations solve, fits with rows physically deleted, and a
@@ -20,13 +20,11 @@ from hullexplain.surrogate import (
 )
 
 
-def normal_equations(X, t, w=None, ridge=0.0, intercept=True):
+def normal_equations(X, t, w=None, intercept=True):
     """Independent dense solve of the same objective."""
     A = np.hstack([X, np.ones((X.shape[0], 1))]) if intercept else X
     W = np.diag(w) if w is not None else np.eye(X.shape[0])
-    reg = np.zeros((A.shape[1], A.shape[1]))
-    reg[: X.shape[1], : X.shape[1]] = ridge * np.eye(X.shape[1])
-    return np.linalg.solve(A.T @ W @ A + reg, A.T @ W @ t)
+    return np.linalg.solve(A.T @ W @ A, A.T @ W @ t)
 
 
 class TestFitLinear:
@@ -71,26 +69,18 @@ class TestFitLinear:
         X = prng.normal(60).reshape(20, 3)
         t = prng.normal(20)
         w = prng.unit(20) + 0.1
-        model = fit_linear(X, t, weights=w, ridge=0.3)
-        want = normal_equations(X, t, w=w, ridge=0.3)
+        model = fit_linear(X, t, weights=w)
+        want = normal_equations(X, t, w=w)
         assert np.allclose(model.coefficients, want[:3], atol=1e-8)
         assert abs(model.intercept - want[3]) < 1e-8
-
-    def test_ridge_spares_the_intercept(self):
-        # constant targets: heavy ridge shrinks slopes, intercept absorbs the level
-        X = np.linspace(-1, 1, 11)[:, None]
-        t = np.full(11, 5.0)
-        model = fit_linear(X, t, ridge=1e6)
-        assert abs(model.coefficients[0]) < 1e-4
-        assert abs(model.intercept - 5.0) < 1e-6
 
     def test_kkt_stationarity(self):
         prng = Prng(5, 0)
         X = prng.normal(50).reshape(10, 5)
         t = prng.normal(10)
-        model = fit_linear(X, t, ridge=0.01, with_intercept=True)
+        model = fit_linear(X, t, with_intercept=True)
         resid = t - model.predict(X)
-        grad_coef = -2.0 * X.T @ resid + 2.0 * 0.01 * model.coefficients
+        grad_coef = -2.0 * X.T @ resid
         grad_int = -2.0 * resid.sum()
         norm = np.linalg.norm(np.concatenate([grad_coef, [grad_int]]))
         assert norm <= 1e-8 * (1.0 + np.linalg.norm(t))
@@ -112,8 +102,6 @@ class TestFitLinear:
             fit_linear(np.eye(2), np.ones(2), weights=np.zeros(2))
         with pytest.raises(InvalidInputError):
             fit_linear(np.eye(2), np.ones(2), weights=np.array([-1.0, 1.0]))
-        with pytest.raises(InvalidInputError):
-            fit_linear(np.eye(2), np.ones(2), ridge=-0.1)
 
 
 class TestRecoverPrimal:
