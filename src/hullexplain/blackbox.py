@@ -21,7 +21,11 @@ from .rng import Prng, derive_seed
 
 
 class Predictor:
-    """Base class: subclasses implement _predict_batch on validated input."""
+    """Base class: subclasses implement _predict_batch on validated input.
+
+    predict checks every reply for shape and finiteness. A predictor is a
+    context manager; close() releases what it holds and is a no-op here.
+    """
 
     input_dim: int
 
@@ -32,6 +36,8 @@ class Predictor:
             raise PredictorIOError(
                 f"predictor returned shape {out.shape}, expected ({arr.shape[0]},)"
             )
+        if not np.all(np.isfinite(out)):
+            raise PredictorIOError("predictor returned non-finite values")
         return out
 
     def predict_one(self, x) -> float:
@@ -39,6 +45,15 @@ class Predictor:
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def close(self):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 # ----------------------------------------------------------------- k-NN
@@ -402,8 +417,10 @@ class ExternalPredictor(Predictor):
 
     Request:  "PREDICT <rows> <cols>\\n" followed by <rows> lines of <cols>
     space-separated decimal floats. Response: <rows> lines, one float each.
-    "QUIT\\n" asks the child to exit. A batch that takes longer than
-    `timeout` seconds, a dead child, or a malformed reply raises
+    "QUIT\\n" asks the child to exit. The request is written and the reply
+    read as the pipes allow, so a batch of any size streams through a child
+    that answers row by row. A stall (no byte accepted or returned for
+    `timeout` seconds), a dead child, or a malformed reply raises
     PredictorIOError. Calls are serialized with a lock so one child can
     serve several explanation threads.
     """
@@ -426,36 +443,56 @@ class ExternalPredictor(Predictor):
             )
         except OSError as e:
             raise PredictorIOError(f"could not start external predictor: {e}") from e
-        self._buf = b""
-        self._sel = selectors.DefaultSelector()
+        os.set_blocking(self._proc.stdin.fileno(), False)
         os.set_blocking(self._proc.stdout.fileno(), False)
-        self._sel.register(self._proc.stdout, selectors.EVENT_READ)
 
-    def _read_lines(self, count: int, deadline: float) -> list[bytes]:
-        lines: list[bytes] = []
-        while len(lines) < count:
-            nl = self._buf.find(b"\n")
-            if nl >= 0:
-                lines.append(self._buf[:nl])
-                self._buf = self._buf[nl + 1 :]
-                continue
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise PredictorIOError(
-                    f"external predictor timed out after {self.timeout:g}s "
-                    f"({len(lines)}/{count} lines received)"
-                )
-            if not self._sel.select(timeout=min(remaining, 0.25)):
-                continue
-            chunk = self._proc.stdout.read(65536)
-            if chunk:
-                self._buf += chunk
-            elif self._proc.poll() is not None:
-                raise PredictorIOError(
-                    f"external predictor exited with code {self._proc.returncode} "
-                    f"after {len(lines)}/{count} reply lines"
-                )
-        return lines
+    def _exit_code(self):
+        """The child's exit code once its output has closed; None if it lingers."""
+        try:
+            return self._proc.wait(timeout=1.0)
+        except subprocess.TimeoutExpired:
+            return None
+
+    def _exchange(self, msg: bytes, rows: int) -> bytes:
+        """Write msg and read until `rows` reply lines have arrived."""
+        pending = memoryview(msg)
+        reply = bytearray()
+        lines = 0
+        with selectors.DefaultSelector() as sel:
+            sel.register(self._proc.stdin, selectors.EVENT_WRITE)
+            sel.register(self._proc.stdout, selectors.EVENT_READ)
+            deadline = time.monotonic() + self.timeout
+            while lines < rows:
+                moved = False
+                for key, _ in sel.select(timeout=max(0.0, deadline - time.monotonic())):
+                    if key.fileobj is self._proc.stdin:
+                        try:
+                            sent = os.write(key.fd, pending[:65536])
+                        except BlockingIOError:
+                            continue
+                        except OSError as e:
+                            raise PredictorIOError(f"external predictor pipe closed: {e}") from e
+                        pending = pending[sent:]
+                        if not pending:
+                            sel.unregister(self._proc.stdin)
+                    else:
+                        chunk = os.read(key.fd, 65536)
+                        if not chunk:
+                            raise PredictorIOError(
+                                f"external predictor exited with code {self._exit_code()} "
+                                f"after {lines}/{rows} reply lines"
+                            )
+                        reply += chunk
+                        lines += chunk.count(b"\n")
+                    moved = True
+                if moved:
+                    deadline = time.monotonic() + self.timeout
+                elif time.monotonic() >= deadline:
+                    raise PredictorIOError(
+                        f"external predictor timed out: nothing moved for {self.timeout:g}s "
+                        f"({lines}/{rows} lines received)"
+                    )
+        return bytes(reply)
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
         rows, cols = X.shape
@@ -466,14 +503,11 @@ class ExternalPredictor(Predictor):
                 raise PredictorIOError(
                     f"external predictor is not running (exit code {self._proc.returncode})"
                 )
-            try:
-                self._proc.stdin.write(msg)
-                self._proc.stdin.flush()
-            except (BrokenPipeError, OSError) as e:
-                raise PredictorIOError(f"external predictor pipe closed: {e}") from e
-            lines = self._read_lines(rows, time.monotonic() + self.timeout)
+            lines = self._exchange(msg, rows).split(b"\n")
+        if len(lines) != rows + 1 or lines[rows]:
+            raise PredictorIOError(f"external predictor sent more than {rows} reply lines")
         out = np.empty(rows)
-        for i, line in enumerate(lines):
+        for i, line in enumerate(lines[:rows]):
             try:
                 out[i] = float(line.strip())
             except ValueError:
@@ -481,30 +515,21 @@ class ExternalPredictor(Predictor):
                     f"external predictor reply line {i + 1} is not a number: "
                     f"{line[:80]!r}"
                 ) from None
-        if not np.all(np.isfinite(out)):
-            raise PredictorIOError("external predictor returned non-finite values")
         return out
 
     def close(self):
         if self._proc.poll() is None:
             try:
                 self._proc.stdin.write(b"QUIT\n")
-                self._proc.stdin.flush()
-                self._proc.stdin.close()
             except OSError:
                 pass
-            try:
-                self._proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
-        self._sel.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+        self._proc.stdin.close()
+        try:
+            self._proc.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+        self._proc.stdout.close()
 
 
 def external_predictor(command: str, input_dim: int, timeout: float = 30.0) -> ExternalPredictor:

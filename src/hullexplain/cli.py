@@ -23,8 +23,8 @@ from .datasets import (
     load_csv,
     save_csv,
 )
-from .errors import ConfigError, TrainingError
-from .explainer import DualConfig, explain_global, explain_local, feature_importance
+from .errors import ConfigError, InvalidInputError, TrainingError
+from .explainer import DualConfig, explain_global, explain_many, feature_importance
 from .report import PointResult, RunReport, new_report, write_report
 from .surrogate import LimeConfig, fit_linear, lime_explain
 from .svgplot import line_plot, scatter_plot
@@ -171,28 +171,27 @@ def _drain_warnings(rec, rep):
 
 def cmd_explain(args, out: Path) -> RunReport:
     ds = _load_dataset(args)
-    predictor = _build_predictor(args, ds)
-    rep = new_report("explain", args.seed, _config_echo(args),
-                     stamped=not args.no_timestamp)
-    base = dict(K=args.K, n_lambda=args.n_lambda, seed=args.seed)
-    if args.global_fit:
-        expl = explain_global(ds.x, predictor, DualConfig(**base))
-        rep.aggregates["a"] = expl.a
-        rep.aggregates["intercept"] = expl.intercept
-        rep.aggregates["d"] = expl.poly.d
-        rep.aggregates["importance-normalized"] = feature_importance(expl, "normalized")
-        rep.aggregates["fit-residual-rms"] = expl.diagnostics["fit_residual_rms"]
-        return rep
-    if args.points is not None and args.points < 1:
-        raise ConfigError("--points must be at least 1")
-    total = ds.n if args.points is None else min(args.points, ds.n)
-    truth = predictor.predict(ds.x[:total])
+    with _build_predictor(args, ds) as predictor:
+        rep = new_report("explain", args.seed, _config_echo(args),
+                         stamped=not args.no_timestamp)
+        cfg = DualConfig(K=args.K, n_lambda=args.n_lambda, seed=args.seed)
+        if args.global_fit:
+            expl = explain_global(ds.x, predictor, cfg)
+            rep.aggregates["a"] = expl.a
+            rep.aggregates["intercept"] = expl.intercept
+            rep.aggregates["d"] = expl.poly.d
+            rep.aggregates["importance-normalized"] = feature_importance(expl, "normalized")
+            rep.aggregates["fit-residual-rms"] = expl.diagnostics["fit_residual_rms"]
+            return rep
+        if args.points is not None and args.points < 1:
+            raise ConfigError("--points must be at least 1")
+        total = ds.n if args.points is None else min(args.points, ds.n)
+        truth = predictor.predict(ds.x[:total])
+        expls = explain_many(ds.x[:total], ds.x, predictor, cfg)
     amat = np.empty((total, ds.m))
     mses = np.empty(total)
-    for i in range(total):
-        x0 = ds.x[i]
-        expl = explain_local(x0, ds.x, predictor, DualConfig(**base, stream=i))
-        err = float(truth[i] - expl.model.predict_one(x0))
+    for i, expl in enumerate(expls):
+        err = float(truth[i] - expl.model.predict_one(ds.x[i]))
         mse = err * err
         amat[i], mses[i] = expl.a, mse
         rep.points.append(PointResult(index=i, values={
@@ -227,23 +226,26 @@ def _parse_cov(text: str):
 
 def cmd_compare(args, out: Path) -> RunReport:
     ds = _load_dataset(args)
-    predictor = _build_predictor(args, ds)
-    tests = gen_edge_testset(ds.x, args.points, seed=args.seed)
-    lime_cfg = LimeConfig(n_samples=args.lime_n, cov_diag=_parse_cov(args.lime_cov),
-                          v=args.lime_v)
-    rep = new_report("compare", args.seed, _config_echo(args),
-                     stamped=not args.no_timestamp)
-    truth = predictor.predict(tests)
+    with _build_predictor(args, ds) as predictor:
+        tests = gen_edge_testset(ds.x, args.points, seed=args.seed)
+        lime_cfg = LimeConfig(n_samples=args.lime_n, cov_diag=_parse_cov(args.lime_cov),
+                              v=args.lime_v)
+        rep = new_report("compare", args.seed, _config_echo(args),
+                         stamped=not args.no_timestamp)
+        truth = predictor.predict(tests)
+        duals = explain_many(tests, ds.x, predictor,
+                             DualConfig(K=args.K, n_lambda=args.n_lambda, seed=args.seed))
+        limes = [lime_explain(x0, predictor, lime_cfg, seed=args.seed, stream=i)
+                 for i, x0 in enumerate(tests)]
     pairs = []
-    for i in range(args.points):
-        x0 = tests[i]
-        dual = explain_local(x0, ds.x, predictor,
-                             DualConfig(K=args.K, n_lambda=args.n_lambda,
-                                        seed=args.seed, stream=i))
-        lime = lime_explain(x0, predictor, lime_cfg, seed=args.seed, stream=i)
+    for i, (x0, dual, lime) in enumerate(zip(tests, duals, limes)):
         e_dual = float(truth[i] - dual.model.predict_one(x0))
         e_lime = float(truth[i] - lime.predict_one(x0))
-        pairs.append((e_dual * e_dual, e_lime * e_lime))
+        dm, lm = e_dual * e_dual, e_lime * e_lime
+        if not (np.isfinite(dm) and np.isfinite(lm)):  # checked before any file is written
+            raise InvalidInputError(f"compare point {i}: squared error is not finite "
+                                    f"(dual {dm!r}, baseline {lm!r})")
+        pairs.append((dm, lm))
     dual_mse = np.array([p[0] for p in pairs])
     lime_mse = np.array([p[1] for p in pairs])
     for i, (dm, lm) in enumerate(pairs):

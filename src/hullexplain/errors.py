@@ -10,7 +10,7 @@ class ConfigError(ValueError):
 
 
 class PredictorIOError(RuntimeError):
-    """An external predictor process failed or violated the wire protocol."""
+    """A predictor failed or broke the `Predictor` contract."""
 
 
 class DataFormatError(ValueError):

@@ -7,7 +7,8 @@ mapped points (all of which lie inside the neighbor hull, so no
 out-of-domain queries ever happen), fit a no-intercept linear model in
 simplex coordinates, and map its coefficients back to feature space.
 Global mode runs the same pipeline over the whole dataset with no
-explained point appended.
+explained point appended. explain_many explains many points with one
+black-box call; explain_local is its one-row case.
 
 The simplex-to-feature map back-solves b_i = g(x*_i) as an affine fit:
 coefficients against the centered extreme points plus a compensating
@@ -91,69 +92,67 @@ def _affine_recovery(b, extremes):
     return a, a0
 
 
-def _run_pipeline(points: np.ndarray, x0_row: int | None, predictor, cfg: DualConfig):
-    poly = find_extreme_points(points, cfg.tol)
-    d = poly.d
-    if cfg.n_lambda < d:
-        raise ConfigError(
-            f"n_lambda = {cfg.n_lambda} is less than the {d} extreme points; "
-            "the dual fit would be underdetermined"
-        )
-    contains_x0 = None
-    if x0_row is not None:
-        contains_x0 = x0_row not in set(poly.extreme_indices.tolist())
-        poly.contains_x0 = contains_x0
-
-    sampler = SimplexSampler(d=d, seed=cfg.seed, stream_id=cfg.stream)
-    lam = sampler.draw(cfg.n_lambda)
-    primal = map_to_primal(lam, poly.extremes)
-    z = predictor.predict(primal)
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        dual_model = fit_linear(lam, z, with_intercept=False)
-        b = dual_model.coefficients
+def _run_pipeline(point_sets, x0_row: int | None, predictor, cfg: DualConfig):
+    """Set i gets its own extreme points and a simplex draw on stream
+    cfg.stream + i; the query blocks of all sets go to one predictor call,
+    and then each set gets its own dual fit and recovery.
+    """
+    hulls = []
+    for i, points in enumerate(point_sets):
+        poly = find_extreme_points(points, cfg.tol)
+        if cfg.n_lambda < poly.d:
+            raise ConfigError(f"n_lambda = {cfg.n_lambda} is less than the {poly.d} extreme "
+                              "points; the dual fit would be underdetermined")
+        if x0_row is not None:
+            poly.contains_x0 = x0_row not in set(poly.extreme_indices.tolist())
+        sampler = SimplexSampler(d=poly.d, seed=cfg.seed, stream_id=cfg.stream + i)
+        hulls.append((poly, sampler.draw(cfg.n_lambda)))
+    queries = np.vstack([map_to_primal(lam, poly.extremes) for poly, lam in hulls])
+    z_rows = np.reshape(predictor.predict(queries), (len(hulls), cfg.n_lambda))
+    out = []
+    for (poly, lam), z in zip(hulls, z_rows):
+        b = fit_linear(lam, z, with_intercept=False).coefficients
         a, a0 = _affine_recovery(b, poly.extremes)
-    rank_notes = [str(w.message) for w in caught]
-    for w in caught:
-        warnings.warn_explicit(
-            w.message, w.category, w.filename, w.lineno
-        )
+        diagnostics = {
+            "d": poly.d,
+            "contains_x0": None if x0_row is None else poly.contains_x0,
+            "fit_residual_rms": float(np.sqrt(np.mean((z - lam @ b) ** 2))),
+        }
+        out.append(DualExplanation(a=a, b=b, intercept=a0, poly=poly, lambdas=lam, z=z,
+                                   diagnostics=diagnostics))
+    return out
 
-    resid = z - lam @ b
-    diagnostics = {
-        "d": d,
-        "contains_x0": contains_x0,
-        "fit_residual_rms": float(np.sqrt(np.mean(resid**2))),
-        "rank_warnings": rank_notes,
-    }
-    return DualExplanation(
-        a=a, b=b, intercept=a0, poly=poly, lambdas=lam, z=z, diagnostics=diagnostics
-    )
+
+def explain_many(X0, train, predictor, cfg: DualConfig) -> list[DualExplanation]:
+    """Explain each row of X0 from its K-neighbor hull, with one black-box call.
+
+    Row i equals explain_local(X0[i], ...) on stream cfg.stream + i: the
+    predictor contract (a batch equals its rows predicted alone) makes it so.
+    """
+    cfg.validate()
+    X = _train_matrix(train)
+    Q = as_points(X0, "X0", dim=X.shape[1])
+    if X.shape[0] < cfg.K:
+        raise InvalidInputError(f"training set has {X.shape[0]} rows, fewer than K = {cfg.K}")
+
+    def neighborhood(x0):
+        delta = X - x0
+        # stable sort: exact distance ties resolve to the lowest training index
+        order = np.argsort(np.einsum("ij,ij->i", delta, delta), kind="stable")
+        return np.vstack([X[order[: cfg.K]], x0[None, :]])
+
+    return _run_pipeline(map(neighborhood, Q), x0_row=cfg.K, predictor=predictor, cfg=cfg)
 
 
 def explain_local(x0, train, predictor, cfg: DualConfig) -> DualExplanation:
     """Explain the prediction at x0 from its K-neighbor hull."""
-    cfg.validate()
-    X = _train_matrix(train)
-    x0v = as_vector(x0, "x0", dim=X.shape[1])
-    if X.shape[0] < cfg.K:
-        raise InvalidInputError(
-            f"training set has {X.shape[0]} rows, fewer than K = {cfg.K}"
-        )
-    delta = X - x0v
-    d2 = np.einsum("ij,ij->i", delta, delta)
-    # stable sort: exact distance ties resolve to the lowest training index
-    neighbors = np.argsort(d2, kind="stable")[: cfg.K]
-    points = np.vstack([X[neighbors], x0v[None, :]])
-    return _run_pipeline(points, x0_row=cfg.K, predictor=predictor, cfg=cfg)
+    return explain_many(as_vector(x0, "x0")[None, :], train, predictor, cfg)[0]
 
 
 def explain_global(train, predictor, cfg: DualConfig) -> DualExplanation:
     """One explanation over the hull of the entire dataset."""
     cfg.validate()
-    X = _train_matrix(train)
-    return _run_pipeline(X, x0_row=None, predictor=predictor, cfg=cfg)
+    return _run_pipeline([_train_matrix(train)], x0_row=None, predictor=predictor, cfg=cfg)[0]
 
 
 def feature_importance(expl: DualExplanation, mode: str = "signed") -> np.ndarray:

@@ -31,8 +31,9 @@ Derived variates, in the order the counter is consumed:
 
 `derive_seed` folds extra integers into a seed with the same mixer; the
 bagged-tree regressor uses it to give each tree its own bootstrap seed.
-The CLI gives each explained point its own stream (`stream=i`) under the
-run seed, for both the dual sampler and the LIME baseline.
+`explain_many` gives the i-th explained point its own simplex stream
+(`cfg.stream + i`, so `stream=i` from the CLI) under the run seed, and the
+CLI gives the LIME baseline the same `stream=i`.
 """
 from __future__ import annotations
 

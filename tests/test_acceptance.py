@@ -21,7 +21,7 @@ from hullexplain.datasets import (
     lambda_function,
     load_csv,
 )
-from hullexplain.explainer import DualConfig, explain_local, feature_importance
+from hullexplain.explainer import DualConfig, explain_local, explain_many, feature_importance
 from hullexplain.geometry import default_projection_tol, project_onto_hull
 from hullexplain.rng import Prng
 from hullexplain.sampling import SimplexSampler
@@ -30,18 +30,11 @@ from hullexplain.surrogate import LimeConfig, lime_explain
 FIXTURE = "tests/data/ccpp_fixture.csv"
 
 
-def explain_all(ds, predictor, cfg_base, count=None):
-    total = ds.n if count is None else count
-    return [explain_local(ds.x[i], ds.x, predictor, DualConfig(**cfg_base, stream=i))
-            for i in range(total)]
-
-
 def median_mse_pair(train_x, tests, bb, dual_cfg, lime_cfg, seed):
     truth = bb.predict(tests)
+    duals = explain_many(tests, train_x, bb, DualConfig(**dual_cfg, seed=seed))
     pairs = []
-    for j, x0 in enumerate(tests):
-        dual = explain_local(x0, train_x, bb,
-                             DualConfig(**dual_cfg, seed=seed, stream=j))
+    for j, (x0, dual) in enumerate(zip(tests, duals)):
         lime = lime_explain(x0, bb, lime_cfg, seed=seed, stream=j)
         e_d = truth[j] - dual.model.predict_one(x0)
         e_l = truth[j] - lime.predict_one(x0)
@@ -53,8 +46,8 @@ def median_mse_pair(train_x, tests, bb, dual_cfg, lime_cfg, seed):
 def test_1_linear7_mean_coefficients_within_half():
     t0 = time.monotonic()
     ds = generate(SyntheticSpec("feat-ex1", seed=1))
-    results = explain_all(ds, analytic("linear7"),
-                          dict(K=10, n_lambda=30, seed=1))
+    results = explain_many(ds.x, ds.x, analytic("linear7"),
+                           DualConfig(K=10, n_lambda=30, seed=1))
     mean_a = np.array([e.a for e in results]).mean(axis=0)
     truth = np.array([10.0, -20.0, -2.0, 3.0, 0.0, 0.0, 0.0])
     assert len(results) == 1000
@@ -66,13 +59,13 @@ def test_2_quadratic_importance_orderings():
     pred = analytic("quad2")
 
     ds = generate(SyntheticSpec("feat-ex2a", seed=1))
-    results = explain_all(ds, pred, dict(K=6, n_lambda=30, seed=1))
+    results = explain_many(ds.x, ds.x, pred, DualConfig(K=6, n_lambda=30, seed=1))
     mean_imp = np.array([feature_importance(e, "normalized")
                          for e in results]).mean(axis=0)
     assert mean_imp[1] > mean_imp[0]
 
     ds = generate(SyntheticSpec("feat-ex2b", seed=1))
-    results = explain_all(ds, pred, dict(K=6, n_lambda=30, seed=1))
+    results = explain_many(ds.x, ds.x, pred, DualConfig(K=6, n_lambda=30, seed=1))
     mean_imp = np.array([feature_importance(e, "normalized")
                          for e in results]).mean(axis=0)
     assert mean_imp[0] >= 0.9

@@ -1,5 +1,8 @@
 """Black boxes: k-NN, bagged trees, analytic registry, external process."""
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ import pytest
 from hullexplain import blackbox
 from hullexplain.blackbox import (
     ANALYTIC_FUNCTIONS,
+    Predictor,
     analytic,
     external_predictor,
     knn_fit,
@@ -353,6 +357,24 @@ class TestAnalytic:
             assert p.predict(np.zeros((2, dim))).shape == (2,)
 
 
+class TestPredictorContract:
+    def test_non_finite_output_rejected(self):
+        class NanPredictor(Predictor):
+            input_dim = 2
+
+            def _predict_batch(self, X):
+                out = X.sum(axis=1)
+                out[-1] = np.nan
+                return out
+
+        with pytest.raises(PredictorIOError, match="non-finite"):
+            NanPredictor().predict(np.ones((3, 2)))
+
+    def test_base_predictor_is_a_context_manager(self):
+        with analytic("ring") as p:
+            assert p.predict_one([3.0, 4.0]) == 25.0
+
+
 SQUARE_CHILD = (
     "import sys\n"
     "for line in sys.stdin:\n"
@@ -390,6 +412,21 @@ class TestExternal:
             with pytest.raises(PredictorIOError, match="timed out"):
                 p.predict([[1.0]])
 
+    def test_timeout_bounds_a_stall_not_the_batch(self):
+        # each reply comes 0.2 s after the last, so the batch takes longer
+        # than the timeout while nothing ever stalls for that long
+        child = (
+            "import sys, time\n"
+            "rows = int(sys.stdin.readline().split()[1])\n"
+            "for _ in range(rows):\n"
+            "    sys.stdin.readline(); time.sleep(0.2); print(1.0); sys.stdout.flush()\n"
+            "sys.stdin.read()\n"
+        )
+        with external_predictor(
+            f'{sys.executable} -c "{child}"', input_dim=1, timeout=0.5
+        ) as p:
+            assert p.predict(np.zeros((4, 1))).tolist() == [1.0] * 4
+
     def test_malformed_reply(self):
         child = (
             "import sys\n"
@@ -426,3 +463,26 @@ class TestExternal:
         ) as p:
             x = 0.1234567890123456789
             assert p.predict_one([x]) == x  # echo survives the round trip bit-exactly
+
+    def test_large_batch_streams_through_a_row_by_row_child(self):
+        # the child answers each row as it reads it, so its replies fill the
+        # reply pipe long before the request is fully written; the request
+        # must be written and the replies read as the pipes allow. Run in a
+        # child of its own so a deadlock fails here instead of hanging
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from hullexplain.blackbox import external_predictor\n"
+            f"child = {SQUARE_CHILD!r}\n"
+            "X = np.arange(18000.0).reshape(6000, 3) / 6000\n"
+            "with external_predictor(f'{sys.executable} -c \"{child}\"', input_dim=3) as p:\n"
+            "    got = p.predict(X)\n"
+            "assert np.allclose(got, (X * X).sum(axis=1))\n"
+            "print(got.size)\n"
+        )
+        src = str(Path(blackbox.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "6000"

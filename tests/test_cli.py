@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: files, determinism, exit codes."""
 import csv
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ import pytest
 from hullexplain.cli import _drain_warnings, main
 from hullexplain.errors import RankDeficiencyWarning
 from hullexplain.report import read_report
+from hullexplain.rng import Prng
 
 
 def run(*args):
@@ -235,6 +237,31 @@ class TestGenData:
         np.testing.assert_allclose(lam.sum(axis=1), 1.0, atol=1e-9)
 
 
+class TestExternalPredictor:
+    @pytest.mark.parametrize("command", ["explain", "compare"])
+    def test_child_is_told_to_quit(self, tmp_path, command):
+        marker = tmp_path / "quit-seen"
+        child = (
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    parts = line.split()\n"
+            "    if parts[0] == 'QUIT':\n"
+            f"        open({str(marker)!r}, 'w').close()\n"
+            "        break\n"
+            "    for _ in range(int(parts[1])):\n"
+            "        vals = [float(v) for v in sys.stdin.readline().split()]\n"
+            "        print(repr(sum(v * v for v in vals)))\n"
+            "    sys.stdout.flush()\n"
+        )
+        script = tmp_path / "child.py"
+        script.write_text(child)
+        rc = run(command, "--synthetic", "feat-ex3", "--blackbox", "external",
+                 "--external-cmd", f"{sys.executable} {script}", "--K", "6",
+                 "--points", "3", "--seed", "1", "--out-dir", str(tmp_path / "out"))
+        assert rc == 0
+        assert marker.exists()
+
+
 class TestExitCodes:
     def test_missing_data_file(self, tmp_path, capsys):
         rc = run("explain", "--data", str(tmp_path / "absent.csv"),
@@ -288,3 +315,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             run("transmogrify")
         assert err.value.code == 2
+
+    def test_compare_with_overflowing_errors_writes_nothing(self, tmp_path, capsys):
+        # squared errors of a 1e200-scale target overflow to inf: the command
+        # must fail before it writes any file, not halfway through its outputs
+        data = tmp_path / "huge.csv"
+        x = Prng(70, 0).uniform(120, 0.0, 1.0).reshape(60, 2)
+        with open(data, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x1", "x2", "y"])
+            for a, b in x:
+                writer.writerow([repr(float(a)), repr(float(b)), repr(float(1e200 * (a + b)))])
+        out = tmp_path / "out"
+        rc = run("compare", "--data", str(data), "--blackbox", "trees",
+                 "--bb-trees", "5", "--K", "6", "--points", "3", "--out-dir", str(out))
+        assert rc == 2
+        assert "compare point 0: squared error is not finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []

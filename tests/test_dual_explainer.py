@@ -4,12 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from hullexplain.blackbox import analytic, knn_fit
+from hullexplain.blackbox import Predictor, analytic, knn_fit
 from hullexplain.errors import ConfigError, InvalidInputError, RankDeficiencyWarning
 from hullexplain.explainer import (
     DualConfig,
     explain_global,
     explain_local,
+    explain_many,
     feature_importance,
 )
 from hullexplain.geometry import project_points_onto_hull
@@ -175,6 +176,59 @@ class TestConfigAndDeterminism:
         assert expl.z.shape == (17,)
         assert expl.diagnostics["fit_residual_rms"] >= 0.0
         assert expl.diagnostics["d"] == expl.poly.d
+
+
+class CountingPredictor(Predictor):
+    """Counts the batches that reach the wrapped predictor."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.input_dim = inner.input_dim
+        self.calls = 0
+
+    def _predict_batch(self, X):
+        self.calls += 1
+        return self.inner.predict(X)
+
+
+class TestExplainMany:
+    @pytest.mark.parametrize("kind", ["knn", "analytic"])
+    def test_rows_equal_explain_local_on_their_streams(self, kind):
+        prng = Prng(63, 0)
+        X = prng.uniform(120, -1.0, 1.0).reshape(60, 2)
+        pred = (knn_fit(X, X[:, 0] ** 2 - X[:, 1], k=4) if kind == "knn"
+                else analytic("ring"))
+        X0 = np.vstack([X[:5], prng.uniform(4, -0.5, 0.5).reshape(2, 2)])
+        cfg = DualConfig(K=8, n_lambda=20, seed=7, stream=3)
+        many = explain_many(X0, X, pred, cfg)
+        assert len(many) == X0.shape[0]
+        for i, got in enumerate(many):
+            want = explain_local(X0[i], X, pred, DualConfig(K=8, n_lambda=20, seed=7,
+                                                            stream=3 + i))
+            assert got.a.tobytes() == want.a.tobytes(), f"row {i}"
+            assert got.b.tobytes() == want.b.tobytes(), f"row {i}"
+            assert got.intercept == want.intercept, f"row {i}"
+            assert got.z.tobytes() == want.z.tobytes(), f"row {i}"
+            assert np.array_equal(got.poly.extreme_indices, want.poly.extreme_indices)
+            assert got.diagnostics == want.diagnostics
+
+    def test_one_predictor_call_each(self):
+        prng = Prng(64, 0)
+        X = prng.uniform(80, -1.0, 1.0).reshape(40, 2)
+        cfg = DualConfig(K=6, n_lambda=12)
+        for run in (lambda p: explain_many(X[:10], X, p, cfg),
+                    lambda p: explain_local(X[0], X, p, cfg),
+                    lambda p: explain_global(X, p, DualConfig(n_lambda=40))):
+            pred = CountingPredictor(analytic("ring"))
+            run(pred)
+            assert pred.calls == 1
+
+    @pytest.mark.parametrize("X0", [np.zeros((3, 3)), np.array([[0.1, np.nan]]),
+                                    np.array([[np.inf, 0.0], [0.0, 0.0]])])
+    def test_bad_rows_rejected(self, X0):
+        X = Prng(65, 0).uniform(40, -1.0, 1.0).reshape(20, 2)
+        with pytest.raises(InvalidInputError):
+            explain_many(X0, X, analytic("ring"), DualConfig(K=5))
 
 
 class TestFeatureImportance:
