@@ -6,6 +6,7 @@ predicting each row alone. The explainers only ever see this interface.
 """
 from __future__ import annotations
 
+import itertools
 import os
 import selectors
 import shlex
@@ -80,6 +81,7 @@ class KnnRegressor(Predictor):
             # stable sort keeps the lowest training index among exact ties
             nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
             out[lo : lo + chunk] = self._y[nearest].mean(axis=1)
+            del d2, nearest  # free this chunk's blocks before the next one's
         return out
 
 
@@ -421,8 +423,9 @@ class ExternalPredictor(Predictor):
     read as the pipes allow, so a batch of any size streams through a child
     that answers row by row. A stall (no byte accepted or returned for
     `timeout` seconds), a dead child, or a malformed reply raises
-    PredictorIOError. Calls are serialized with a lock so one child can
-    serve several explanation threads.
+    PredictorIOError and kills the child, so a later call fails rather
+    than read stale replies. Calls are serialized with a lock so one child
+    can serve several explanation threads.
     """
 
     def __init__(self, command: str, input_dim: int, timeout: float = 30.0):
@@ -446,16 +449,14 @@ class ExternalPredictor(Predictor):
         os.set_blocking(self._proc.stdin.fileno(), False)
         os.set_blocking(self._proc.stdout.fileno(), False)
 
-    def _exit_code(self):
-        """The child's exit code once its output has closed; None if it lingers."""
-        try:
-            return self._proc.wait(timeout=1.0)
-        except subprocess.TimeoutExpired:
-            return None
+    def _kill(self):
+        """Stop a child whose pipes may hold part of a request or late replies."""
+        self._proc.kill()
+        self._proc.wait()
 
-    def _exchange(self, msg: bytes, rows: int) -> bytes:
-        """Write msg and read until `rows` reply lines have arrived."""
-        pending = memoryview(msg)
+    def _exchange(self, request, rows: int) -> bytes:
+        """Write the chunks of `request` and read until `rows` reply lines arrive."""
+        pending = memoryview(next(request))
         reply = bytearray()
         lines = 0
         with selectors.DefaultSelector() as sel:
@@ -472,15 +473,14 @@ class ExternalPredictor(Predictor):
                             continue
                         except OSError as e:
                             raise PredictorIOError(f"external predictor pipe closed: {e}") from e
-                        pending = pending[sent:]
+                        pending = pending[sent:] or memoryview(next(request, b""))
                         if not pending:
                             sel.unregister(self._proc.stdin)
                     else:
                         chunk = os.read(key.fd, 65536)
                         if not chunk:
                             raise PredictorIOError(
-                                f"external predictor exited with code {self._exit_code()} "
-                                f"after {lines}/{rows} reply lines"
+                                f"external predictor exited after {lines}/{rows} reply lines"
                             )
                         reply += chunk
                         lines += chunk.count(b"\n")
@@ -492,29 +492,41 @@ class ExternalPredictor(Predictor):
                         f"external predictor timed out: nothing moved for {self.timeout:g}s "
                         f"({lines}/{rows} lines received)"
                     )
+        if pending:
+            raise PredictorIOError("external predictor replied before it read the whole request")
+        if lines != rows or not reply.endswith(b"\n"):
+            raise PredictorIOError(f"external predictor sent more than {rows} reply lines")
         return bytes(reply)
 
     def _predict_batch(self, X: np.ndarray) -> np.ndarray:
         rows, cols = X.shape
-        body = "\n".join(" ".join(f"{v:.17g}" for v in row) for row in X)
-        msg = f"PREDICT {rows} {cols}\n{body}\n".encode()
+        # encoded 1024 rows at a time, so a large batch never exists as text
+        request = itertools.chain(
+            [f"PREDICT {rows} {cols}\n".encode()],
+            ("".join(" ".join(f"{v:.17g}" for v in row) + "\n"
+                     for row in X[lo : lo + 1024]).encode()
+             for lo in range(0, rows, 1024)))
         with self._lock:
             if self._proc.poll() is not None:
                 raise PredictorIOError(
                     f"external predictor is not running (exit code {self._proc.returncode})"
                 )
-            lines = self._exchange(msg, rows).split(b"\n")
-        if len(lines) != rows + 1 or lines[rows]:
-            raise PredictorIOError(f"external predictor sent more than {rows} reply lines")
-        out = np.empty(rows)
-        for i, line in enumerate(lines[:rows]):
             try:
-                out[i] = float(line.strip())
-            except ValueError:
-                raise PredictorIOError(
-                    f"external predictor reply line {i + 1} is not a number: "
-                    f"{line[:80]!r}"
-                ) from None
+                lines = self._exchange(request, rows).split(b"\n")
+                out = np.empty(rows)
+                for i, line in enumerate(lines[:rows]):
+                    try:
+                        out[i] = float(line.strip())
+                    except ValueError:
+                        raise PredictorIOError(
+                            f"external predictor reply line {i + 1} is not a number: "
+                            f"{line[:80]!r}"
+                        ) from None
+            except BaseException:
+                # the pipes may hold part of this request or late replies,
+                # which the next call would read as its own
+                self._kill()
+                raise
         return out
 
     def close(self):

@@ -7,6 +7,7 @@ import sys
 import time
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,10 @@ LAMBDA_EXPERIMENTS = ("ex-based-1", "ex-based-2", "ex-based-3")
 # importance tables; --seed moves the data draw only
 EXPERIMENT_NET_SEEDS = {"ex-based-1": 8, "ex-based-2": 9, "ex-based-3": 11}
 EXPERIMENT_ALPHAS = {"ex-based-1": 1e-4, "ex-based-2": 1e-6, "ex-based-3": 0.0}
+# rows per explain_many call in `explain`: a row's explanation holds about
+# 5 KB (half of it the simplex draw), so an all-rows run on a large CSV
+# keeps one block of them at a time, not all
+EXPLAIN_BLOCK = 1024
 
 
 def _add_data_flags(p):
@@ -187,20 +192,22 @@ def cmd_explain(args, out: Path) -> RunReport:
             raise ConfigError("--points must be at least 1")
         total = ds.n if args.points is None else min(args.points, ds.n)
         truth = predictor.predict(ds.x[:total])
-        expls = explain_many(ds.x[:total], ds.x, predictor, cfg)
-    amat = np.empty((total, ds.m))
-    mses = np.empty(total)
-    for i, expl in enumerate(expls):
-        err = float(truth[i] - expl.model.predict_one(ds.x[i]))
-        mse = err * err
-        amat[i], mses[i] = expl.a, mse
-        rep.points.append(PointResult(index=i, values={
-            "a": expl.a,
-            "intercept": expl.intercept,
-            "b": expl.b,
-            "d": expl.poly.d,
-            "mse": mse,
-        }))
+        amat = np.empty((total, ds.m))
+        mses = np.empty(total)
+        for lo in range(0, total, EXPLAIN_BLOCK):
+            block = explain_many(ds.x[lo : min(lo + EXPLAIN_BLOCK, total)], ds.x,
+                                 predictor, replace(cfg, stream=lo))
+            for i, expl in enumerate(block, lo):
+                err = float(truth[i] - expl.model.predict_one(ds.x[i]))
+                mse = err * err
+                amat[i], mses[i] = expl.a, mse
+                rep.points.append(PointResult(index=i, values={
+                    "a": expl.a,
+                    "intercept": expl.intercept,
+                    "b": expl.b,
+                    "d": expl.poly.d,
+                    "mse": mse,
+                }))
     rep.aggregates["mean-a"] = amat.mean(axis=0)
     rep.aggregates["std-a"] = amat.std(axis=0, ddof=1) if total > 1 else np.zeros(ds.m)
     rep.aggregates["mean-mse"] = float(mses.mean())

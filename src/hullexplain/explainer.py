@@ -103,8 +103,7 @@ def _run_pipeline(point_sets, x0_row: int | None, predictor, cfg: DualConfig):
         if cfg.n_lambda < poly.d:
             raise ConfigError(f"n_lambda = {cfg.n_lambda} is less than the {poly.d} extreme "
                               "points; the dual fit would be underdetermined")
-        if x0_row is not None:
-            poly.contains_x0 = x0_row not in set(poly.extreme_indices.tolist())
+        poly.contains_x0 = x0_row is not None and x0_row not in set(poly.extreme_indices.tolist())
         sampler = SimplexSampler(d=poly.d, seed=cfg.seed, stream_id=cfg.stream + i)
         hulls.append((poly, sampler.draw(cfg.n_lambda)))
     queries = np.vstack([map_to_primal(lam, poly.extremes) for poly, lam in hulls])
@@ -146,7 +145,9 @@ def explain_many(X0, train, predictor, cfg: DualConfig) -> list[DualExplanation]
 
 def explain_local(x0, train, predictor, cfg: DualConfig) -> DualExplanation:
     """Explain the prediction at x0 from its K-neighbor hull."""
-    return explain_many(as_vector(x0, "x0")[None, :], train, predictor, cfg)[0]
+    cfg.validate()
+    X = _train_matrix(train)
+    return explain_many(as_vector(x0, "x0", dim=X.shape[1])[None, :], X, predictor, cfg)[0]
 
 
 def explain_global(train, predictor, cfg: DualConfig) -> DualExplanation:

@@ -412,6 +412,34 @@ class TestExternal:
             with pytest.raises(PredictorIOError, match="timed out"):
                 p.predict([[1.0]])
 
+    def test_timeout_stops_the_child(self):
+        # the stalled child still holds the first request; a second call
+        # must fail instead of reading the first call's late reply
+        child = "import time,sys\nsys.stdin.readline()\ntime.sleep(60)\n"
+        with external_predictor(
+            f'{sys.executable} -c "{child}"', input_dim=1, timeout=0.3
+        ) as p:
+            with pytest.raises(PredictorIOError, match="timed out"):
+                p.predict([[1.0]])
+            with pytest.raises(PredictorIOError, match="not running"):
+                p.predict([[2.0]])
+
+    def test_reply_before_the_whole_request_stops_the_child(self):
+        # answers from the header alone, leaving the request rows unread
+        child = (
+            "import sys\n"
+            "rows = int(sys.stdin.readline().split()[1])\n"
+            "print('\\n'.join(['1.0'] * rows)); sys.stdout.flush()\n"
+            "import time; time.sleep(60)\n"
+        )
+        with external_predictor(
+            f'{sys.executable} -c "{child}"', input_dim=2
+        ) as p:
+            with pytest.raises(PredictorIOError, match="before it read the whole request"):
+                p.predict(np.zeros((100000, 2)))
+            with pytest.raises(PredictorIOError, match="not running"):
+                p.predict([[0.0, 0.0]])
+
     def test_timeout_bounds_a_stall_not_the_batch(self):
         # each reply comes 0.2 s after the last, so the batch takes longer
         # than the timeout while nothing ever stalls for that long
@@ -438,6 +466,8 @@ class TestExternal:
             f'{sys.executable} -c "{child}"', input_dim=1
         ) as p:
             with pytest.raises(PredictorIOError, match="not a number"):
+                p.predict([[1.0]])
+            with pytest.raises(PredictorIOError, match="not running"):
                 p.predict([[1.0]])
 
     def test_child_death(self):

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from hullexplain import cli
 from hullexplain.cli import _drain_warnings, main
 from hullexplain.errors import RankDeficiencyWarning
 from hullexplain.report import read_report
@@ -39,6 +40,16 @@ class TestExplain:
             rows = list(csv.reader(fh))
         assert rows[0] == ["index", "a_x1", "a_x2"]
         assert len(rows) == 11
+
+    def test_rows_explained_in_blocks_match_one_block(self, tmp_path, monkeypatch):
+        # 10 points in blocks of 3: each row keeps its stream, so the
+        # outputs equal a single explain_many call over all rows
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert small_explain(a) == 0
+        monkeypatch.setattr(cli, "EXPLAIN_BLOCK", 3)
+        assert small_explain(b) == 0
+        assert (a / "report.txt").read_bytes() == (b / "report.txt").read_bytes()
+        assert (a / "points.csv").read_bytes() == (b / "points.csv").read_bytes()
 
     def test_points_csv_matches_report(self, tmp_path):
         small_explain(tmp_path)

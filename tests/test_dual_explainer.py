@@ -230,6 +230,13 @@ class TestExplainMany:
         with pytest.raises(InvalidInputError):
             explain_many(X0, X, analytic("ring"), DualConfig(K=5))
 
+    def test_explain_local_names_x0_and_checks_config_first(self):
+        X = Prng(66, 0).uniform(40, -1.0, 1.0).reshape(20, 2)
+        with pytest.raises(InvalidInputError, match="x0 has length 3, expected 2"):
+            explain_local(np.zeros(3), X, analytic("ring"), DualConfig(K=5))
+        with pytest.raises(ConfigError, match="K must be"):
+            explain_local(np.zeros(3), X, analytic("ring"), DualConfig(K=0))
+
 
 class TestFeatureImportance:
     def test_normalized_table_row(self):
