@@ -102,6 +102,9 @@ def knn_fit(X, y, k: int) -> KnnRegressor:
 # training rows per group of trees grown together: bounds the temporaries
 # of one level while keeping the number of passes small
 _GROUP_ROWS = 4096
+# trees grow on targets scaled below 2**_Y_EXP, so that the squared sums of
+# a split search stay finite for up to 2**32 rows
+_Y_EXP = 480
 
 
 class BaggedTrees(Predictor):
@@ -326,6 +329,10 @@ def trees_fit(
     training rows, each group one level per pass over all its open nodes.
     Each node takes the split with the least summed squared error over all
     features and all cuts between distinct values, at the cut's midpoint.
+    Targets of 2**_Y_EXP or more in magnitude would overflow those sums, so
+    the trees then grow on y * 2**-k, with the least k that brings max |y|
+    below it, and their leaf values are scaled back by 2**k. Power-of-two
+    scaling is exact unless it takes a tiny target below the normal range.
     """
     Xa = as_points(X, "X")
     ya = np.asarray(y, dtype=np.float64)
@@ -336,6 +343,8 @@ def trees_fit(
     if n_trees < 1:
         raise InvalidInputError("n_trees must be >= 1")
     n = Xa.shape[0]
+    k = max(0, int(np.frexp(np.abs(ya).max())[1]) - _Y_EXP)
+    ys = np.ldexp(ya, -k)
     if bootstrap:
         draws = np.stack([Prng(derive_seed(seed, t), 0).below(n, n) for t in range(n_trees)])
     else:
@@ -353,10 +362,11 @@ def trees_fit(
     for t0 in range(0, n_trees, group):
         rows = draws[t0 : t0 + group]
         roots.append(base + np.arange(rows.shape[0]))
-        base, levels = _grow_trees(Xa, ranks, ya, rows.flatten(), rows.shape[0],
+        base, levels = _grow_trees(Xa, ranks, ys, rows.flatten(), rows.shape[0],
                                    min_samples_split, forest, base)
         depth = max(depth, levels - 1)
-    return BaggedTrees(*(a[:base] for a in forest), roots=np.concatenate(roots),
+    feature, threshold, left, value = (a[:base] for a in forest)
+    return BaggedTrees(feature, threshold, left, np.ldexp(value, k), roots=np.concatenate(roots),
                        depth=depth, input_dim=Xa.shape[1])
 
 

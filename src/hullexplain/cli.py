@@ -191,22 +191,20 @@ def cmd_explain(args, out: Path) -> RunReport:
         if args.points is not None and args.points < 1:
             raise ConfigError("--points must be at least 1")
         total = ds.n if args.points is None else min(args.points, ds.n)
-        truth = predictor.predict(ds.x[:total])
         amat = np.empty((total, ds.m))
         mses = np.empty(total)
         for lo in range(0, total, EXPLAIN_BLOCK):
             block = explain_many(ds.x[lo : min(lo + EXPLAIN_BLOCK, total)], ds.x,
                                  predictor, replace(cfg, stream=lo))
             for i, expl in enumerate(block, lo):
-                err = float(truth[i] - expl.model.predict_one(ds.x[i]))
-                mse = err * err
-                amat[i], mses[i] = expl.a, mse
+                err = expl.f_x0 - expl.model.predict_one(ds.x[i])
+                amat[i], mses[i] = expl.a, err * err
                 rep.points.append(PointResult(index=i, values={
                     "a": expl.a,
                     "intercept": expl.intercept,
                     "b": expl.b,
                     "d": expl.poly.d,
-                    "mse": mse,
+                    "mse": float(mses[i]),
                 }))
     rep.aggregates["mean-a"] = amat.mean(axis=0)
     rep.aggregates["std-a"] = amat.std(axis=0, ddof=1) if total > 1 else np.zeros(ds.m)
@@ -239,23 +237,18 @@ def cmd_compare(args, out: Path) -> RunReport:
                               v=args.lime_v)
         rep = new_report("compare", args.seed, _config_echo(args),
                          stamped=not args.no_timestamp)
-        truth = predictor.predict(tests)
         duals = explain_many(tests, ds.x, predictor,
                              DualConfig(K=args.K, n_lambda=args.n_lambda, seed=args.seed))
-        limes = [lime_explain(x0, predictor, lime_cfg, seed=args.seed, stream=i)
-                 for i, x0 in enumerate(tests)]
-    pairs = []
+        limes = lime_explain(tests, predictor, lime_cfg, seed=args.seed)
+    dual_mse, lime_mse = np.empty(len(tests)), np.empty(len(tests))
     for i, (x0, dual, lime) in enumerate(zip(tests, duals, limes)):
-        e_dual = float(truth[i] - dual.model.predict_one(x0))
-        e_lime = float(truth[i] - lime.predict_one(x0))
+        e_dual = dual.f_x0 - dual.model.predict_one(x0)
+        e_lime = dual.f_x0 - lime.predict_one(x0)
         dm, lm = e_dual * e_dual, e_lime * e_lime
         if not (np.isfinite(dm) and np.isfinite(lm)):  # checked before any file is written
             raise InvalidInputError(f"compare point {i}: squared error is not finite "
                                     f"(dual {dm!r}, baseline {lm!r})")
-        pairs.append((dm, lm))
-    dual_mse = np.array([p[0] for p in pairs])
-    lime_mse = np.array([p[1] for p in pairs])
-    for i, (dm, lm) in enumerate(pairs):
+        dual_mse[i], lime_mse[i] = dm, lm
         rep.points.append(PointResult(index=i, values={"mse-dual": dm, "mse-lime": lm}))
     rep.aggregates["mean-mse-dual"] = float(dual_mse.mean())
     rep.aggregates["mean-mse-lime"] = float(lime_mse.mean())
@@ -264,8 +257,8 @@ def cmd_compare(args, out: Path) -> RunReport:
     with open(out / "mse.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "mse_dual", "mse_lime"])
-        for i, (dm, lm) in enumerate(pairs):
-            writer.writerow([i, repr(dm), repr(lm)])
+        for i, (dm, lm) in enumerate(zip(dual_mse, lime_mse)):
+            writer.writerow([i, repr(float(dm)), repr(float(lm))])
     svg = scatter_plot(dual_mse, lime_mse, title="Per-point surrogate error",
                        xlabel="dual surrogate MSE", ylabel="perturbation baseline MSE",
                        diagonal=True)

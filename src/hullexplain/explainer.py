@@ -7,8 +7,8 @@ mapped points (all of which lie inside the neighbor hull, so no
 out-of-domain queries ever happen), fit a no-intercept linear model in
 simplex coordinates, and map its coefficients back to feature space.
 Global mode runs the same pipeline over the whole dataset with no
-explained point appended. explain_many explains many points with one
-black-box call; explain_local is its one-row case.
+explained point appended. explain_many explains many points, f(x0)
+included, with one black-box call; explain_local is its one-row case.
 
 The simplex-to-feature map back-solves b_i = g(x*_i) as an affine fit:
 coefficients against the centered extreme points plus a compensating
@@ -57,6 +57,7 @@ class DualExplanation:
     poly: Polytope
     lambdas: np.ndarray           # (n_lambda, d) sampled weights
     z: np.ndarray                 # black-box values at the mapped points
+    f_x0: float | None = None     # black-box value at x0; None from explain_global
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -92,10 +93,11 @@ def _affine_recovery(b, extremes):
     return a, a0
 
 
-def _run_pipeline(point_sets, x0_row: int | None, predictor, cfg: DualConfig):
+def _run_pipeline(point_sets, X0, predictor, cfg: DualConfig):
     """Set i gets its own extreme points and a simplex draw on stream
-    cfg.stream + i; the query blocks of all sets go to one predictor call,
-    and then each set gets its own dual fit and recovery.
+    cfg.stream + i; the query blocks of all sets and then the explained rows
+    X0 (None for a global fit, else row i is point cfg.K of set i) go to one
+    predictor call, and then each set gets its own dual fit and recovery.
     """
     hulls = []
     for i, points in enumerate(point_sets):
@@ -103,22 +105,23 @@ def _run_pipeline(point_sets, x0_row: int | None, predictor, cfg: DualConfig):
         if cfg.n_lambda < poly.d:
             raise ConfigError(f"n_lambda = {cfg.n_lambda} is less than the {poly.d} extreme "
                               "points; the dual fit would be underdetermined")
-        poly.contains_x0 = x0_row is not None and x0_row not in set(poly.extreme_indices.tolist())
         sampler = SimplexSampler(d=poly.d, seed=cfg.seed, stream_id=cfg.stream + i)
         hulls.append((poly, sampler.draw(cfg.n_lambda)))
-    queries = np.vstack([map_to_primal(lam, poly.extremes) for poly, lam in hulls])
-    z_rows = np.reshape(predictor.predict(queries), (len(hulls), cfg.n_lambda))
+    queries = [map_to_primal(lam, poly.extremes) for poly, lam in hulls]
+    z_all = predictor.predict(np.vstack(queries if X0 is None else queries + [X0]))
+    z_rows = z_all[: len(hulls) * cfg.n_lambda].reshape(len(hulls), cfg.n_lambda)
+    f_x0 = [None] * len(hulls) if X0 is None else z_all[z_rows.size :].tolist()
     out = []
-    for (poly, lam), z in zip(hulls, z_rows):
+    for (poly, lam), z, fx in zip(hulls, z_rows, f_x0):
         b = fit_linear(lam, z, with_intercept=False).coefficients
         a, a0 = _affine_recovery(b, poly.extremes)
         diagnostics = {
             "d": poly.d,
-            "contains_x0": None if x0_row is None else poly.contains_x0,
+            "contains_x0": None if X0 is None else cfg.K not in poly.extreme_indices,
             "fit_residual_rms": float(np.sqrt(np.mean((z - lam @ b) ** 2))),
         }
         out.append(DualExplanation(a=a, b=b, intercept=a0, poly=poly, lambdas=lam, z=z,
-                                   diagnostics=diagnostics))
+                                   f_x0=fx, diagnostics=diagnostics))
     return out
 
 
@@ -127,6 +130,7 @@ def explain_many(X0, train, predictor, cfg: DualConfig) -> list[DualExplanation]
 
     Row i equals explain_local(X0[i], ...) on stream cfg.stream + i: the
     predictor contract (a batch equals its rows predicted alone) makes it so.
+    The same call evaluates the rows of X0 themselves, into each f_x0.
     """
     cfg.validate()
     X = _train_matrix(train)
@@ -140,7 +144,7 @@ def explain_many(X0, train, predictor, cfg: DualConfig) -> list[DualExplanation]
         order = np.argsort(np.einsum("ij,ij->i", delta, delta), kind="stable")
         return np.vstack([X[order[: cfg.K]], x0[None, :]])
 
-    return _run_pipeline(map(neighborhood, Q), x0_row=cfg.K, predictor=predictor, cfg=cfg)
+    return _run_pipeline(map(neighborhood, Q), Q, predictor, cfg)
 
 
 def explain_local(x0, train, predictor, cfg: DualConfig) -> DualExplanation:
@@ -153,7 +157,7 @@ def explain_local(x0, train, predictor, cfg: DualConfig) -> DualExplanation:
 def explain_global(train, predictor, cfg: DualConfig) -> DualExplanation:
     """One explanation over the hull of the entire dataset."""
     cfg.validate()
-    return _run_pipeline([_train_matrix(train)], x0_row=None, predictor=predictor, cfg=cfg)[0]
+    return _run_pipeline([_train_matrix(train)], None, predictor, cfg)[0]
 
 
 def feature_importance(expl: DualExplanation, mode: str = "signed") -> np.ndarray:

@@ -73,7 +73,6 @@ class Polytope:
 
     extremes: np.ndarray        # (d, m), rows are extreme points
     tol: float                  # tolerance used for extremeness decisions
-    contains_x0: bool = False   # True when the explained point is not an extreme (inside the hull)
     extreme_indices: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
     @property
@@ -203,7 +202,9 @@ def find_extreme_points(points, tol: float) -> Polytope:
 
     A point is extreme iff it lies more than `tol` outside the convex hull
     of the remaining points; within-tol duplicates collapse to the
-    lowest-index representative first.
+    lowest-index representative first. Every point kept after that collapse
+    lies within tol of the hull of the extremes; a collapsed duplicate is
+    not rechecked and lies within 2 tol.
     """
     pts = as_points(points)
     if tol <= 0:
@@ -220,9 +221,9 @@ def find_extreme_points(points, tol: float) -> Polytope:
         mask[0] = True
     extreme_local = np.nonzero(mask)[0]
 
-    # Coverage refinement: every non-extreme input must sit within tol of the
-    # hull of the extremes. Chained tolerances can in principle break this;
-    # promote the worst offender until it holds.
+    # Coverage refinement: every kept non-extreme must sit within tol of the
+    # hull of the extremes. Chained tolerances can break this; promote the
+    # worst offender until it holds. Collapsed duplicates are not rechecked.
     while True:
         non_extreme = np.setdiff1d(np.arange(n), extreme_local)
         if non_extreme.size == 0:

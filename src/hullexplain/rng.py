@@ -32,8 +32,10 @@ Derived variates, in the order the counter is consumed:
 `derive_seed` folds extra integers into a seed with the same mixer; the
 bagged-tree regressor uses it to give each tree its own bootstrap seed.
 `explain_many` gives the i-th explained point its own simplex stream
-(`cfg.stream + i`, so `stream=i` from the CLI) under the run seed, and the
-CLI gives the LIME baseline the same `stream=i`.
+(`cfg.stream + i`, so `stream=i` from the CLI) under the run seed, and
+`lime_explain` gives the i-th row its perturbations and then its weights on
+stream `stream + i`, so the CLI's baseline for test point i uses the same
+`stream=i`.
 """
 from __future__ import annotations
 

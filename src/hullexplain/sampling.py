@@ -32,9 +32,6 @@ class SimplexSampler:
     def draw(self, n_points: int) -> np.ndarray:
         if n_points < 0:
             raise InvalidInputError("n_points must be >= 0")
-        if self.d == 1:
-            self._prng.skip(n_points)  # keep the counter contract honest
-            return np.ones((n_points, 1))
         spacings = self._prng.exponential(n_points * self.d).reshape(n_points, self.d)
         totals = spacings.sum(axis=1, keepdims=True)
         degenerate = totals[:, 0] <= 0.0

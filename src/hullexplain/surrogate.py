@@ -149,33 +149,36 @@ class LimeConfig:
         self.variances(m)
 
 
-def lime_explain(x0, predictor, cfg: LimeConfig, seed: int, stream: int = 0) -> LinearModel:
-    """Local affine fit on Gaussian perturbations around x0.
+def lime_explain(X0, predictor, cfg: LimeConfig, seed: int, stream: int = 0) -> list[LinearModel]:
+    """Local affine fit on Gaussian perturbations around each row x0 of X0.
 
     Perturbations are N(x0, diag(cov_diag)); each sample carries a random
     weight |u|, u ~ N(0, v), independent of its position. Position-based
     kernel weights would pin the fit to the black box's value at x0 and
     hide exactly the failure this baseline is meant to expose: perturbed
     samples landing outside the data domain drag the whole fit with them.
-    Weights that all collapse to zero are floored at 1e-300 with a warning
-    so the fit stays defined.
+    Row i draws its noise and then its weights from Prng(seed, stream + i);
+    the samples of all rows go to one predictor call, and then each row
+    gets its own weighted fit. Weights that all collapse to zero are
+    floored at 1e-300 with a warning so the fit stays defined.
     """
-    center = as_vector(x0, "x0")
-    m = center.shape[0]
+    centers = as_points(X0, "X0")
+    m = centers.shape[1]
     cfg.validate(m)
-    var = cfg.variances(m)
-    prng = Prng(seed, stream)
-    noise = prng.normal(cfg.n_samples * m).reshape(cfg.n_samples, m)
-    samples = center[None, :] + noise * np.sqrt(var)[None, :]
-    z = predictor.predict(samples)
-    w = np.abs(np.sqrt(cfg.v) * prng.normal(cfg.n_samples))
-    if not np.any(w > 0.0):
-        warnings.warn(
-            "all perturbation weights collapsed to zero; flooring at 1e-300",
-            DegenerateWeightWarning,
-            stacklevel=2,
-        )
-        w = np.maximum(w, 1e-300)
-    w = w / w.max()
-    return fit_linear(samples, z, weights=w, with_intercept=True)
-
+    sd = np.sqrt(cfg.variances(m))
+    draws = []
+    for i, center in enumerate(centers):
+        prng = Prng(seed, stream + i)
+        noise = prng.normal(cfg.n_samples * m).reshape(cfg.n_samples, m)
+        w = np.abs(np.sqrt(cfg.v) * prng.normal(cfg.n_samples))
+        if not np.any(w > 0.0):
+            warnings.warn(
+                "all perturbation weights collapsed to zero; flooring at 1e-300",
+                DegenerateWeightWarning,
+                stacklevel=2,
+            )
+            w = np.maximum(w, 1e-300)
+        draws.append((center + noise * sd, w / w.max()))
+    z_rows = predictor.predict(np.vstack([samples for samples, _ in draws]))
+    return [fit_linear(samples, z, weights=w, with_intercept=True)
+            for (samples, w), z in zip(draws, z_rows.reshape(len(draws), cfg.n_samples))]

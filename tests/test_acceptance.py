@@ -31,16 +31,12 @@ FIXTURE = "tests/data/ccpp_fixture.csv"
 
 
 def median_mse_pair(train_x, tests, bb, dual_cfg, lime_cfg, seed):
-    truth = bb.predict(tests)
     duals = explain_many(tests, train_x, bb, DualConfig(**dual_cfg, seed=seed))
-    pairs = []
-    for j, (x0, dual) in enumerate(zip(tests, duals)):
-        lime = lime_explain(x0, bb, lime_cfg, seed=seed, stream=j)
-        e_d = truth[j] - dual.model.predict_one(x0)
-        e_l = truth[j] - lime.predict_one(x0)
-        pairs.append((e_d * e_d, e_l * e_l))
-    pairs = np.array(pairs)
-    return float(np.median(pairs[:, 0])), float(np.median(pairs[:, 1]))
+    limes = lime_explain(tests, bb, lime_cfg, seed=seed)
+    f_x0 = np.array([d.f_x0 for d in duals])
+    e_d = f_x0 - [d.model.predict_one(x0) for d, x0 in zip(duals, tests)]
+    e_l = f_x0 - [g.predict_one(x0) for g, x0 in zip(limes, tests)]
+    return float(np.median(e_d * e_d)), float(np.median(e_l * e_l))
 
 
 def test_1_linear7_mean_coefficients_within_half():

@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +318,27 @@ class TestFlatForestMatchesReference:
         Q = prng.uniform(6000, -0.1, 1.1).reshape(3000, 2)
         want = _reference_predict(_reference_trees(X, y, 50, seed=1), Q)
         assert model.predict(Q).tobytes() == want.tobytes()
+
+
+class TestHugeTargets:
+    def test_trees_grow_on_targets_scaled_by_a_power_of_two(self):
+        # squaring 1e200-scale targets would overflow: the trees are the ones
+        # grown on y * 2**-k, with the leaf values scaled back by 2**k
+        prng = Prng(14, 0)
+        X = prng.uniform(120, 0.0, 1.0).reshape(60, 2)
+        y = 1e200 * (X[:, 0] + X[:, 1] ** 2 - 0.5)
+        k = int(np.frexp(np.abs(y).max())[1]) - blackbox._Y_EXP
+        assert k > 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = trees_fit(X, y, n_trees=5, seed=2)
+        small = trees_fit(X, np.ldexp(y, -k), n_trees=5, seed=2)
+        for name in ("feature", "threshold", "left", "roots"):
+            assert getattr(big, name).tobytes() == getattr(small, name).tobytes(), name
+        assert big.depth == small.depth
+        assert big.value.tobytes() == np.ldexp(small.value, k).tobytes()
+        Q = _golden_queries(X, [], seed=14)
+        assert big.predict(Q).tobytes() == np.ldexp(small.predict(Q), k).tobytes()
 
 
 class TestAnalytic:

@@ -26,6 +26,61 @@ def small_explain(out_dir, jobs="2", seed="5"):
                "--out-dir", str(out_dir), "--no-timestamp")
 
 
+def huge_target_csv(tmp_path):
+    """60 rows whose 1e200-scale targets overflow when squared."""
+    data = tmp_path / "huge.csv"
+    x = Prng(70, 0).uniform(120, 0.0, 1.0).reshape(60, 2)
+    with open(data, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "y"])
+        for a, b in x:
+            writer.writerow([repr(float(a)), repr(float(b)), repr(float(1e200 * (a + b)))])
+    return data
+
+
+@pytest.fixture
+def predict_calls(monkeypatch):
+    """The row count of every predict call on the black box the CLI builds."""
+    calls = []
+    build = cli._build_predictor
+
+    def counted(args, ds):
+        pred = build(args, ds)
+        predict = pred.predict
+
+        def counting_predict(X):
+            calls.append(len(X))
+            return predict(X)
+
+        pred.predict = counting_predict
+        return pred
+
+    monkeypatch.setattr(cli, "_build_predictor", counted)
+    return calls
+
+
+class TestOneBlackBoxCallPerExplainer:
+    def test_explain(self, tmp_path, predict_calls):
+        # 10 rows of 20 simplex queries, then the 10 explained rows
+        assert small_explain(tmp_path) == 0
+        assert predict_calls == [10 * 20 + 10]
+
+    def test_explain_makes_one_call_per_block(self, tmp_path, predict_calls, monkeypatch):
+        monkeypatch.setattr(cli, "EXPLAIN_BLOCK", 3)
+        assert small_explain(tmp_path) == 0
+        assert predict_calls == [3 * 21, 3 * 21, 3 * 21, 21]
+
+    def test_explain_global(self, tmp_path, predict_calls):
+        assert run("explain", "--synthetic", "feat-ex3", "--blackbox", "knn", "--global",
+                   "--n-lambda", "600", "--out-dir", str(tmp_path), "--no-timestamp") == 0
+        assert predict_calls == [600]
+
+    def test_compare(self, tmp_path, predict_calls):
+        # the dual call carries the 25 explained rows; the baseline makes the other
+        assert TestCompare().run_compare(tmp_path) == 0
+        assert predict_calls == [25 * 30 + 25, 25 * 30]
+
+
 class TestExplain:
     def test_outputs(self, tmp_path):
         assert small_explain(tmp_path) == 0
@@ -72,6 +127,16 @@ class TestExplain:
         small_explain(a, seed="5")
         small_explain(b, seed="6")
         assert (a / "report.txt").read_bytes() != (b / "report.txt").read_bytes()
+
+    def test_huge_targets_fit_trees_without_overflow(self, tmp_path):
+        # the tree fit no longer squares raw 1e200-scale targets, so it raises
+        # no overflow or invalid-value warning of its own
+        rc = run("explain", "--data", str(huge_target_csv(tmp_path)), "--blackbox", "trees",
+                 "--bb-trees", "5", "--K", "6", "--points", "3",
+                 "--out-dir", str(tmp_path / "out"), "--no-timestamp")
+        assert rc == 0
+        warned = read_report(tmp_path / "out" / "report.txt").warnings
+        assert not [w for w in warned if "invalid value" in w or "in multiply" in w]
 
     def test_points_clipped_to_dataset(self, tmp_path):
         rc = run("explain", "--synthetic", "feat-ex3", "--blackbox", "knn",
@@ -330,15 +395,8 @@ class TestExitCodes:
     def test_compare_with_overflowing_errors_writes_nothing(self, tmp_path, capsys):
         # squared errors of a 1e200-scale target overflow to inf: the command
         # must fail before it writes any file, not halfway through its outputs
-        data = tmp_path / "huge.csv"
-        x = Prng(70, 0).uniform(120, 0.0, 1.0).reshape(60, 2)
-        with open(data, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x1", "x2", "y"])
-            for a, b in x:
-                writer.writerow([repr(float(a)), repr(float(b)), repr(float(1e200 * (a + b)))])
         out = tmp_path / "out"
-        rc = run("compare", "--data", str(data), "--blackbox", "trees",
+        rc = run("compare", "--data", str(huge_target_csv(tmp_path)), "--blackbox", "trees",
                  "--bb-trees", "5", "--K", "6", "--points", "3", "--out-dir", str(out))
         assert rc == 2
         assert "compare point 0: squared error is not finite" in capsys.readouterr().err

@@ -223,6 +223,19 @@ class TestExplainMany:
             run(pred)
             assert pred.calls == 1
 
+    def test_f_x0_is_the_black_box_value_at_each_row(self):
+        prng = Prng(67, 0)
+        X = prng.uniform(80, -1.0, 1.0).reshape(40, 2)
+        pred = knn_fit(X, X[:, 0] - X[:, 1] ** 2, k=3)
+        X0 = np.vstack([X[:4], prng.uniform(6, -0.5, 0.5).reshape(3, 2)])
+        cfg = DualConfig(K=6, n_lambda=12)
+        want = pred.predict(X0)
+        many = explain_many(X0, X, pred, cfg)
+        assert all(type(e.f_x0) is float for e in many)
+        assert np.array([e.f_x0 for e in many]).tobytes() == want.tobytes()
+        assert explain_local(X0[5], X, pred, cfg).f_x0 == want[5]
+        assert explain_global(X, pred, DualConfig(n_lambda=60)).f_x0 is None
+
     @pytest.mark.parametrize("X0", [np.zeros((3, 3)), np.array([[0.1, np.nan]]),
                                     np.array([[np.inf, 0.0], [0.0, 0.0]])])
     def test_bad_rows_rejected(self, X0):

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from hullexplain.errors import InvalidInputError
 from hullexplain.geometry import (
     Polytope,
+    _leave_one_out_extremes,
     bounding_diameter,
     contains,
     find_extreme_points,
@@ -238,6 +239,40 @@ class TestExtremePoints:
         non_idx = np.setdiff1d(np.arange(40), poly.extreme_indices)
         _, dist = project_points_onto_hull(pts[non_idx], poly.extremes, tol=0.01 * tol)
         assert dist.max() <= tol
+
+    def test_coverage_pass_promotes_an_uncovered_point(self):
+        # leave-one-out keeps only rows 0 and 1: rows 2 and 3 each lie within
+        # tol of the hull of the others, but row 3 is 1.8e-6 from the segment
+        pts = np.array([[0, 0], [1, 0], [0.5 - 2e-6, 0.9e-6], [0.5, 1.8e-6]])
+        tol = 1e-6
+        assert _leave_one_out_extremes(pts, tol).tolist() == [True, True, False, False]
+        poly = find_extreme_points(pts, tol=tol)
+        assert poly.extreme_indices.tolist() == [0, 1, 3]
+        _, dist = project_points_onto_hull(pts, poly.extremes, tol=0.01 * tol)
+        assert dist.max() <= tol
+
+    def test_all_non_extreme_set_falls_back_then_promotes(self):
+        # on a fine circle every point is within tol of the hull of the others,
+        # so the pass starts from row 0 alone and promotes until all are covered
+        t = 2 * np.pi * np.arange(60) / 60
+        pts = np.stack([np.cos(t), np.sin(t)], axis=1)
+        tol = 0.01
+        assert not _leave_one_out_extremes(pts, tol).any()
+        poly = find_extreme_points(pts, tol=tol)
+        assert poly.d == 32
+        _, dist = project_points_onto_hull(pts, poly.extremes, tol=0.01 * tol)
+        assert dist.max() <= tol
+
+    def test_collapsed_duplicate_is_not_rechecked(self):
+        # row 3 collapses into row 2, which is within tol of the segment; row 3
+        # itself lies 1.7e-6 from it, inside the documented 2 tol bound
+        pts = np.array([[0, 0], [1, 0], [0.5, 0.9e-6], [0.5, 1.7e-6]])
+        tol = 1e-6
+        poly = find_extreme_points(pts, tol=tol)
+        assert poly.extreme_indices.tolist() == [0, 1]
+        _, dist = project_points_onto_hull(pts, poly.extremes, tol=0.01 * tol)
+        assert tol < dist[3] <= 2 * tol
+        assert abs(dist[3] - 1.7e-6) <= 1e-9
 
     def test_scale_and_translation_equivariance(self):
         prng = Prng(15, 0)

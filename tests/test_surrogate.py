@@ -9,8 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from hullexplain.blackbox import analytic
-from hullexplain.errors import InvalidInputError, RankDeficiencyWarning
+from hullexplain import surrogate
+from hullexplain.blackbox import Predictor, analytic
+from hullexplain.errors import DegenerateWeightWarning, InvalidInputError, RankDeficiencyWarning
 from hullexplain.rng import Prng
 from hullexplain.surrogate import (
     LimeConfig,
@@ -25,6 +26,19 @@ def normal_equations(X, t, w=None, intercept=True):
     A = np.hstack([X, np.ones((X.shape[0], 1))]) if intercept else X
     W = np.diag(w) if w is not None else np.eye(X.shape[0])
     return np.linalg.solve(A.T @ W @ A, A.T @ W @ t)
+
+
+class CountingPredictor(Predictor):
+    """Counts the batches that reach the wrapped predictor."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.input_dim = inner.input_dim
+        self.calls = 0
+
+    def _predict_batch(self, X):
+        self.calls += 1
+        return self.inner.predict(X)
 
 
 class TestFitLinear:
@@ -145,7 +159,7 @@ class TestLime:
     def test_recovers_exact_linear_function(self):
         pred = analytic("linear7")
         x0 = Prng(10, 0).normal(7)
-        model = lime_explain(x0, pred, LimeConfig(), seed=5)
+        [model] = lime_explain(x0, pred, LimeConfig(), seed=5)
         want = np.array([10.0, -20.0, -2.0, 3.0, 0.0, 0.0, 0.0])
         assert np.max(np.abs(model.coefficients - want)) < 1e-6
 
@@ -155,26 +169,53 @@ class TestLime:
         cfg = LimeConfig(cov_diag=1e-12)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RankDeficiencyWarning)
-            model = lime_explain(x0, pred, cfg, seed=3)
+            [model] = lime_explain(x0, pred, cfg, seed=3)
         assert abs(model.predict_one(x0) - pred.predict_one(x0)) < 1e-4
 
     def test_seeded_determinism(self):
         pred = analytic("ring")
         x0 = np.array([0.7, -0.7])
-        a = lime_explain(x0, pred, LimeConfig(), seed=11)
-        b = lime_explain(x0, pred, LimeConfig(), seed=11)
+        [a] = lime_explain(x0, pred, LimeConfig(), seed=11)
+        [b] = lime_explain(x0, pred, LimeConfig(), seed=11)
         assert a.coefficients.tolist() == b.coefficients.tolist()
         assert a.intercept == b.intercept
-        c = lime_explain(x0, pred, LimeConfig(), seed=12)
+        [c] = lime_explain(x0, pred, LimeConfig(), seed=12)
         assert a.coefficients.tolist() != c.coefficients.tolist()
 
     def test_null_feature_coefficient_vanishes_in_large_samples(self):
         pred = analytic("linear7")
         x0 = np.zeros(7)
         cfg = LimeConfig(n_samples=10_000)
-        model = lime_explain(x0, pred, cfg, seed=21)
+        [model] = lime_explain(x0, pred, cfg, seed=21)
         coefs = np.abs(model.coefficients)
         assert coefs[4:].max() <= 0.05 * coefs.max()
+
+    def test_rows_equal_one_row_calls_on_their_streams(self):
+        # row i draws on stream + i, and all rows share one predictor call
+        pred = CountingPredictor(analytic("ring"))
+        X0 = Prng(22, 0).uniform(10, -1.0, 1.0).reshape(5, 2)
+        many = lime_explain(X0, pred, LimeConfig(), seed=4, stream=7)
+        assert pred.calls == 1
+        assert len(many) == 5
+        for i, got in enumerate(many):
+            [want] = lime_explain(X0[i], analytic("ring"), LimeConfig(), seed=4, stream=7 + i)
+            assert got.coefficients.tobytes() == want.coefficients.tobytes(), f"row {i}"
+            assert got.intercept == want.intercept, f"row {i}"
+
+    def test_all_zero_weights_are_floored_with_a_warning(self, monkeypatch):
+        # the weight draw is the n_samples-long normal draw; zero it for every row
+        class ZeroWeights(Prng):
+            def normal(self, n):
+                return np.zeros(n) if n == 30 else super().normal(n)
+
+        monkeypatch.setattr(surrogate, "Prng", ZeroWeights)
+        pred = analytic("linear7")
+        X0 = Prng(23, 0).normal(14).reshape(2, 7)
+        with pytest.warns(DegenerateWeightWarning) as rec:
+            models = lime_explain(X0, pred, LimeConfig(n_samples=30), seed=1)
+        assert len(rec) == 2
+        for model in models:
+            assert np.max(np.abs(model.coefficients - [10, -20, -2, 3, 0, 0, 0])) < 1e-6
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
