@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, PredictorIOError
-from .geometry import as_points
+from .geometry import as_points, nearest, square_scale
 from .rng import Prng, derive_seed
 
 
@@ -60,7 +60,12 @@ class Predictor:
 # ----------------------------------------------------------------- k-NN
 
 class KnnRegressor(Predictor):
-    """Unweighted k-nearest-neighbor mean; distance ties break to the lowest index."""
+    """Unweighted k-nearest-neighbor mean.
+
+    Neighbors come from geometry.nearest, the search the dual explainer
+    uses: squared distances from exact differences, ties to the lowest
+    training index, so a batch predicts each row as it would alone.
+    """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, k: int):
         self._X = X
@@ -69,20 +74,7 @@ class KnnRegressor(Predictor):
         self.input_dim = X.shape[1]
 
     def _predict_batch(self, Q: np.ndarray) -> np.ndarray:
-        out = np.empty(Q.shape[0])
-        chunk = max(1, int(2**21 // max(1, self._X.shape[0])))
-        for lo in range(0, Q.shape[0], chunk):
-            q = Q[lo : lo + chunk]
-            d2 = (
-                np.einsum("ij,ij->i", q, q)[:, None]
-                - 2.0 * q @ self._X.T
-                + np.einsum("ij,ij->i", self._X, self._X)[None, :]
-            )
-            # stable sort keeps the lowest training index among exact ties
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-            out[lo : lo + chunk] = self._y[nearest].mean(axis=1)
-            del d2, nearest  # free this chunk's blocks before the next one's
-        return out
+        return self._y[nearest(self._X, Q, self.k)].mean(axis=1)
 
 
 def knn_fit(X, y, k: int) -> KnnRegressor:
@@ -102,9 +94,6 @@ def knn_fit(X, y, k: int) -> KnnRegressor:
 # training rows per group of trees grown together: bounds the temporaries
 # of one level while keeping the number of passes small
 _GROUP_ROWS = 4096
-# trees grow on targets scaled below 2**_Y_EXP, so that the squared sums of
-# a split search stay finite for up to 2**32 rows
-_Y_EXP = 480
 
 
 class BaggedTrees(Predictor):
@@ -329,10 +318,9 @@ def trees_fit(
     training rows, each group one level per pass over all its open nodes.
     Each node takes the split with the least summed squared error over all
     features and all cuts between distinct values, at the cut's midpoint.
-    Targets of 2**_Y_EXP or more in magnitude would overflow those sums, so
-    the trees then grow on y * 2**-k, with the least k that brings max |y|
-    below it, and their leaf values are scaled back by 2**k. Power-of-two
-    scaling is exact unless it takes a tiny target below the normal range.
+    Targets of 2**480 or more in magnitude would overflow those sums, so
+    the trees grow on y * 2**-k, with k from geometry.square_scale, and
+    their leaf values are scaled back by 2**k.
     """
     Xa = as_points(X, "X")
     ya = np.asarray(y, dtype=np.float64)
@@ -343,7 +331,7 @@ def trees_fit(
     if n_trees < 1:
         raise InvalidInputError("n_trees must be >= 1")
     n = Xa.shape[0]
-    k = max(0, int(np.frexp(np.abs(ya).max())[1]) - _Y_EXP)
+    k = square_scale(ya)
     ys = np.ldexp(ya, -k)
     if bootstrap:
         draws = np.stack([Prng(derive_seed(seed, t), 0).below(n, n) for t in range(n_trees)])

@@ -26,6 +26,7 @@ from .datasets import (
 )
 from .errors import ConfigError, InvalidInputError, TrainingError
 from .explainer import DualConfig, explain_global, explain_many, feature_importance
+from .geometry import square_scale
 from .report import PointResult, RunReport, new_report, write_report
 from .surrogate import LimeConfig, fit_linear, lime_explain
 from .svgplot import line_plot, scatter_plot
@@ -207,7 +208,9 @@ def cmd_explain(args, out: Path) -> RunReport:
                     "mse": float(mses[i]),
                 }))
     rep.aggregates["mean-a"] = amat.mean(axis=0)
-    rep.aggregates["std-a"] = amat.std(axis=0, ddof=1) if total > 1 else np.zeros(ds.m)
+    k = square_scale(amat)
+    rep.aggregates["std-a"] = (np.ldexp(np.ldexp(amat, -k).std(axis=0, ddof=1), k) if total > 1
+                               else np.zeros(ds.m))
     rep.aggregates["mean-mse"] = float(mses.mean())
     rep.aggregates["median-mse"] = float(np.median(mses))
     with open(out / "points.csv", "w", encoding="utf-8", newline="") as fh:

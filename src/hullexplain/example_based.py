@@ -122,11 +122,12 @@ def ale_curve(lam, coord: int, fn, r_bins: int = 20, *,
     """Standard first-order ALE of fn along one weight coordinate.
 
     Bins partition the coordinate's sampled range (equal width by default,
-    "quantile" for equal occupancy), sparse bins are merged away, and each
-    bin's effect is the in-bin average of fn at the upper edge minus fn at
-    the lower edge. Replacement keeps the other coordinates fixed unless
-    renormalize is set, which rescales them to restore the unit sum (at
-    the price of crediting this coordinate with their movement).
+    "quantile" for equal occupancy), sparse bins are merged until each holds
+    at least two samples (or one bin holds them all), and each bin's effect
+    is the in-bin average of fn at the upper edge minus fn at the lower edge.
+    Replacement keeps the other coordinates fixed unless renormalize is
+    set, which rescales them to restore the unit sum (at the price of
+    crediting this coordinate with their movement).
     """
     lam = as_points(lam, "lam")
     n, d = lam.shape
@@ -158,8 +159,6 @@ def ale_curve(lam, coord: int, fn, r_bins: int = 20, *,
     effects = np.zeros(r)
     for k in range(r):
         inbin = lam[idx == k]
-        if len(inbin) == 0:
-            continue
         upper = fn(_replace_column(inbin, coord, edges[k + 1], renormalize))
         lower = fn(_replace_column(inbin, coord, edges[k], renormalize))
         effects[k] = float(np.mean(np.asarray(upper) - np.asarray(lower)))

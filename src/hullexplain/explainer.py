@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InvalidInputError, UniformFallbackWarning
-from .geometry import Polytope, as_points, as_vector, find_extreme_points
+from .geometry import Polytope, as_points, as_vector, find_extreme_points, nearest, square_scale
 from .sampling import SimplexSampler, map_to_primal
 from .surrogate import LinearModel, fit_linear, recover_primal
 
@@ -93,6 +93,11 @@ def _affine_recovery(b, extremes):
     return a, a0
 
 
+def _rms(r: np.ndarray) -> float:
+    k = square_scale(r)
+    return float(np.ldexp(np.sqrt(np.mean(np.ldexp(r, -k) ** 2)), k))
+
+
 def _run_pipeline(point_sets, X0, predictor, cfg: DualConfig):
     """Set i gets its own extreme points and a simplex draw on stream
     cfg.stream + i; the query blocks of all sets and then the explained rows
@@ -118,7 +123,7 @@ def _run_pipeline(point_sets, X0, predictor, cfg: DualConfig):
         diagnostics = {
             "d": poly.d,
             "contains_x0": None if X0 is None else cfg.K not in poly.extreme_indices,
-            "fit_residual_rms": float(np.sqrt(np.mean((z - lam @ b) ** 2))),
+            "fit_residual_rms": _rms(z - lam @ b),
         }
         out.append(DualExplanation(a=a, b=b, intercept=a0, poly=poly, lambdas=lam, z=z,
                                    f_x0=fx, diagnostics=diagnostics))
@@ -137,14 +142,7 @@ def explain_many(X0, train, predictor, cfg: DualConfig) -> list[DualExplanation]
     Q = as_points(X0, "X0", dim=X.shape[1])
     if X.shape[0] < cfg.K:
         raise InvalidInputError(f"training set has {X.shape[0]} rows, fewer than K = {cfg.K}")
-
-    def neighborhood(x0):
-        delta = X - x0
-        # stable sort: exact distance ties resolve to the lowest training index
-        order = np.argsort(np.einsum("ij,ij->i", delta, delta), kind="stable")
-        return np.vstack([X[order[: cfg.K]], x0[None, :]])
-
-    return _run_pipeline(map(neighborhood, Q), Q, predictor, cfg)
+    return _run_pipeline(np.hstack([X[nearest(X, Q, cfg.K)], Q[:, None]]), Q, predictor, cfg)
 
 
 def explain_local(x0, train, predictor, cfg: DualConfig) -> DualExplanation:

@@ -8,7 +8,10 @@ adding the most violating point to a corral with affine least-squares
 steps that drop points whose weight would turn negative. Nothing here
 enumerates facets, and affinely dependent inputs are fine in any
 dimension. A solve that reaches its cycle bound raises
-`ConvergenceError` rather than returning a truncated answer.
+`ConvergenceError` rather than returning a truncated answer. The module
+also holds what the other modules share about point arrays: validation,
+the exact nearest-neighbour search and the power-of-two scaling that keeps
+squares finite.
 """
 from __future__ import annotations
 
@@ -19,6 +22,10 @@ import numpy as np
 from .errors import ConvergenceError, InvalidInputError
 
 _EPS = float(np.finfo(np.float64).eps)
+_NEAREST_CELLS = 2**16  # entries of the differences one nearest() chunk holds
+# values scaled below 2**_SQUARE_EXP square below 2**960, so that sums of up
+# to 2**32 such squares stay finite
+_SQUARE_EXP = 480
 
 
 def as_points(points, name: str = "points", dim: int | None = None) -> np.ndarray:
@@ -46,6 +53,37 @@ def as_vector(x, name: str = "vector", dim: int | None = None) -> np.ndarray:
     if dim is not None and arr.shape[0] != dim:
         raise InvalidInputError(f"{name} has length {arr.shape[0]}, expected {dim}")
     return arr
+
+
+def square_scale(v) -> int:
+    """The least k >= 0 that brings max |v| * 2**-k below 2**_SQUARE_EXP.
+
+    Square np.ldexp(v, -k) and scale a root of the result back by 2**k.
+    Power-of-two scaling is exact unless it takes a tiny value below the
+    normal range, and ordinary data gets k = 0, which changes no bit.
+    """
+    return max(0, int(np.frexp(np.abs(v).max())[1]) - _SQUARE_EXP)
+
+
+def nearest(X: np.ndarray, Q: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k rows of X nearest each row of Q, nearest first.
+
+    Rows are ordered by (squared distance from exact differences, index). A
+    partition keeps each query's k rows in linear time; only those are sorted.
+    """
+    out = np.empty((Q.shape[0], k), dtype=np.intp)
+    step = max(1, _NEAREST_CELLS // X.size)
+    for lo in range(0, Q.shape[0], step):
+        delta = X - Q[lo : lo + step, None, :]
+        d2 = np.einsum("qij,qij->qi", delta, delta)
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+        # nearer rows, then the lowest-index rows at the k-th distance, in index order
+        closer, tied = d2 < kth, d2 == kth
+        need = k - closer.sum(axis=1, keepdims=True)
+        idx = np.nonzero(closer | tied & (np.cumsum(tied, axis=1) <= need))[1].reshape(-1, k)
+        order = np.argsort(np.take_along_axis(d2, idx, axis=1), axis=1, kind="stable")
+        out[lo : lo + step] = np.take_along_axis(idx, order, axis=1)
+    return out
 
 
 def bounding_diameter(points: np.ndarray) -> float:

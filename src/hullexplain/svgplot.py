@@ -1,6 +1,6 @@
 """Static SVG charts with no plotting dependency.
 
-Scatter, bar, and line primitives only; every number is formatted through
+Scatter and line plots only; every number is formatted through
 one helper so identical inputs give identical bytes.
 """
 from __future__ import annotations

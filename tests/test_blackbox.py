@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hullexplain import blackbox
+from hullexplain import blackbox, geometry
 from hullexplain.blackbox import (
     ANALYTIC_FUNCTIONS,
     Predictor,
@@ -50,6 +50,30 @@ class TestKnn:
         batch = model.predict(Q)
         singles = [model.predict_one(q) for q in Q]
         assert batch.tolist() == singles
+
+    def test_batch_equals_single_on_a_lattice(self):
+        # tenths-lattice features give many exact distance ties, which a
+        # distance formula that rounds differently per batch would split
+        X = np.floor(Prng(5, 0).unit(1800) * 4).reshape(600, 3) / 10
+        y = Prng(6, 0).normal(600)
+        model = knn_fit(X, y, k=10)
+        Q = X[:200] + 0.05
+        singles = np.array([model.predict_one(q) for q in Q])
+        assert model.predict(Q).tobytes() == singles.tobytes()
+        for q, got in zip(Q, singles):
+            delta = X - q
+            order = np.argsort(np.einsum("ij,ij->i", delta, delta), kind="stable")
+            assert got == y[order[:10]].mean()
+
+    def test_duplicate_rows_at_the_kth_place_take_the_lowest_indices(self):
+        # five copies of one row, scattered through X, are the nearest rows of
+        # every query, so k=2 must take the first two copies in every row
+        prng = Prng(11, 0)
+        X = 10 * prng.normal(603 * 4).reshape(603, 4)
+        X[[3, 100, 257, 411, 601]] = 10 * prng.normal(4)
+        model = knn_fit(X, np.arange(603.0), k=2)
+        Q = X[3] + 0.001 * prng.normal(40 * 4).reshape(40, 4)
+        assert model.predict(Q).tolist() == [(3 + 100) / 2] * 40
 
     def test_matches_brute_force_oracle(self):
         prng = Prng(2, 0)
@@ -327,7 +351,7 @@ class TestHugeTargets:
         prng = Prng(14, 0)
         X = prng.uniform(120, 0.0, 1.0).reshape(60, 2)
         y = 1e200 * (X[:, 0] + X[:, 1] ** 2 - 0.5)
-        k = int(np.frexp(np.abs(y).max())[1]) - blackbox._Y_EXP
+        k = int(np.frexp(np.abs(y).max())[1]) - geometry._SQUARE_EXP
         assert k > 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -138,6 +138,26 @@ class TestExplain:
         warned = read_report(tmp_path / "out" / "report.txt").warnings
         assert not [w for w in warned if "invalid value" in w or "in multiply" in w]
 
+    def test_huge_targets_give_finite_spreads_and_residuals(self, tmp_path):
+        # std-a and fit-residual-rms square 1e199-scale values; scaled by a
+        # power of two first, they stay finite and nothing overflows
+        data = str(huge_target_csv(tmp_path))
+        rc = run("explain", "--data", data, "--blackbox", "trees", "--bb-trees", "5", "--K", "6",
+                 "--points", "3", "--out-dir", str(tmp_path / "local"), "--no-timestamp")
+        assert rc == 0
+        rep = read_report(tmp_path / "local" / "report.txt")
+        assert rep.warnings == []
+        a = np.array([p.values["a"] for p in rep.points])
+        want = 1e199 * (a / 1e199).std(axis=0, ddof=1)
+        assert np.allclose(rep.aggregates["std-a"], want, rtol=1e-12, atol=0.0)
+        rc = run("explain", "--data", data, "--blackbox", "trees", "--bb-trees", "5", "--K", "6",
+                 "--global", "--n-lambda", "60", "--out-dir", str(tmp_path / "global"),
+                 "--no-timestamp")
+        assert rc == 0
+        rep = read_report(tmp_path / "global" / "report.txt")
+        assert rep.warnings == []
+        assert 1e190 < rep.aggregates["fit-residual-rms"] < 1e210
+
     def test_points_clipped_to_dataset(self, tmp_path):
         rc = run("explain", "--synthetic", "feat-ex3", "--blackbox", "knn",
                  "--K", "8", "--n-lambda", "20", "--points", "100000",

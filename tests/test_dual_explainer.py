@@ -177,6 +177,26 @@ class TestConfigAndDeterminism:
         assert expl.diagnostics["fit_residual_rms"] >= 0.0
         assert expl.diagnostics["d"] == expl.poly.d
 
+    def test_residual_diagnostic_of_a_huge_black_box_stays_finite(self):
+        # 2**660-scale residuals overflow when squared as they are; the
+        # diagnostic is scaled first, so it is the plain one times 2**660
+        prng = Prng(60, 0)
+        X = prng.uniform(60, -1, 1).reshape(30, 2)
+        ring = analytic("ring")
+
+        class Huge:
+            input_dim = 2
+
+            def predict(self, Q):
+                return np.ldexp(ring.predict(Q), 660)
+
+        cfg = DualConfig(K=10, n_lambda=17)
+        plain = explain_local(np.zeros(2), X, ring, cfg).diagnostics["fit_residual_rms"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = explain_local(np.zeros(2), X, Huge(), cfg).diagnostics["fit_residual_rms"]
+        assert 0.0 < plain and huge == np.ldexp(plain, 660)
+
 
 class CountingPredictor(Predictor):
     """Counts the batches that reach the wrapped predictor."""

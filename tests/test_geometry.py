@@ -12,14 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hullexplain.errors import InvalidInputError
+from hullexplain import geometry
 from hullexplain.geometry import (
     Polytope,
     _leave_one_out_extremes,
     bounding_diameter,
     contains,
     find_extreme_points,
+    nearest,
     project_onto_hull,
     project_points_onto_hull,
+    square_scale,
 )
 from hullexplain.rng import Prng
 
@@ -398,3 +401,58 @@ class TestHelpers:
     def test_tol_must_be_positive(self):
         with pytest.raises(InvalidInputError):
             find_extreme_points(np.eye(2), tol=0.0)
+
+
+def stable_order(X, Q):
+    """Rows of X by exact squared distance to each row of Q, ties by index."""
+    out = []
+    for q in Q:
+        delta = X - q
+        out.append(np.argsort(np.einsum("ij,ij->i", delta, delta), kind="stable"))
+    return np.array(out)
+
+
+class TestNearest:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.booleans())
+    def test_equals_a_stable_full_sort_for_every_k(self, seed, lattice):
+        prng = Prng(seed, 0)
+        n, m = 1 + prng.below(1, 30)[0], 1 + prng.below(1, 4)[0]
+        X = prng.normal(n * m).reshape(n, m)
+        if lattice:
+            # tenths-lattice rows, copies among them, and queries between
+            # lattice points: many exact distance ties
+            X = np.floor(prng.unit(n * m) * 3).reshape(n, m) / 10
+        Q = np.vstack([X[: 1 + n // 2] + 0.05, prng.normal(5 * m).reshape(5, m), X[-1:]])
+        want = stable_order(X, Q)
+        for k in range(1, n + 1):
+            got = nearest(X, Q, k)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, want[:, :k]), k
+
+    def test_ties_at_the_kth_place_take_the_lowest_indices(self):
+        X = 3.0 + Prng(7, 0).unit(80).reshape(40, 2)
+        X[[5, 30]] = [0.25, 0.0]
+        X[[2, 14, 22, 37]] = [0.5, -0.25]
+        assert nearest(X, np.zeros((1, 2)), 4).tolist() == [[5, 30, 2, 14]]
+
+    def test_rows_spanning_chunks_equal_rows_alone(self):
+        prng = Prng(8, 0)
+        X = np.floor(prng.unit(600) * 4).reshape(300, 2) / 10
+        Q = np.vstack([X, X + 0.05])
+        assert Q.shape[0] > geometry._NEAREST_CELLS // X.size
+        alone = np.vstack([nearest(X, q[None, :], 7) for q in Q])
+        assert np.array_equal(nearest(X, Q, 7), alone)
+        assert np.array_equal(alone, stable_order(X, Q)[:, :7])
+
+
+class TestSquareScale:
+    def test_ordinary_values_are_not_scaled(self):
+        assert square_scale(np.array([0.0])) == 0
+        assert square_scale(np.array([-3.0, 1e100, 2.0**479])) == 0
+
+    def test_least_power_of_two_below_the_limit(self):
+        limit = 2.0**geometry._SQUARE_EXP
+        for v in (limit, 1e200, -1e300, np.finfo(np.float64).max):
+            k = square_scale(np.array([1.0, v]))
+            assert abs(np.ldexp(v, -k)) < limit <= abs(np.ldexp(v, 1 - k))
