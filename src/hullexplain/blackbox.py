@@ -376,6 +376,15 @@ def _sign2(X):
     return 0.7 * np.sign(X[:, 0]) + np.sign(X[:, 1])
 
 
+# Vertices of the triangle hosting the sign-function experiment.
+TRIANGLE_VERTICES = np.array([[-1.0, -1.0], [0.0, 2.0], [1.0, 0.0]])
+
+
+def _lambda_sign3(L):
+    """The sign function at the point that weights L give the triangle."""
+    return _sign2(L @ TRIANGLE_VERTICES)
+
+
 def _lambda_sine6(L):
     return 15 * L[:, 0] + 22 * L[:, 1] + 40 * (1 - L[:, 3]) * np.sin(3.14 * L[:, 3])
 
@@ -389,6 +398,7 @@ ANALYTIC_FUNCTIONS = {
     "quad2": (_quad2, 2),
     "ring": (_ring, 2),
     "sign2": (_sign2, 2),
+    "lambda-sign3": (_lambda_sign3, 3),
     "lambda-sine6": (_lambda_sine6, 6),
     "lambda-poly4": (_lambda_poly4, 4),
 }
@@ -422,8 +432,9 @@ class ExternalPredictor(Predictor):
     that answers row by row. A stall (no byte accepted or returned for
     `timeout` seconds), a dead child, or a malformed reply raises
     PredictorIOError and kills the child, so a later call fails rather
-    than read stale replies. Calls are serialized with a lock so one child
-    can serve several explanation threads.
+    than read stale replies. The package itself calls from one thread; a
+    lock serializes calls so that a caller may share one predictor between
+    its own threads.
     """
 
     def __init__(self, command: str, input_dim: int, timeout: float = 30.0):

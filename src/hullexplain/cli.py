@@ -15,6 +15,7 @@ import numpy as np
 from . import example_based, nam
 from .blackbox import analytic, external_predictor, knn_fit, trees_fit
 from .datasets import (
+    EXPERIMENT_FUNCTIONS,
     EXPERIMENT_IDS,
     Dataset,
     SyntheticSpec,
@@ -30,16 +31,6 @@ from .geometry import square_scale
 from .report import PointResult, RunReport, new_report, write_report
 from .surrogate import LimeConfig, fit_linear, lime_explain
 from .svgplot import line_plot, scatter_plot
-
-ANALYTIC_BY_EXPERIMENT = {
-    "feat-ex1": "linear7",
-    "feat-ex2a": "quad2",
-    "feat-ex2b": "quad2",
-    "feat-ex3": "ring",
-    "ex-based-1": "lambda-sine6",
-    "ex-based-2": "lambda-poly4",
-    "ex-based-3": "sign2",
-}
 
 LAMBDA_EXPERIMENTS = ("ex-based-1", "ex-based-2", "ex-based-3")
 # net-init seeds and regularization strengths that reproduce the published
@@ -150,7 +141,7 @@ def _build_predictor(args, ds: Dataset):
     if kind == "analytic":
         if not args.synthetic:
             raise ConfigError("--blackbox analytic requires --synthetic")
-        return analytic(ANALYTIC_BY_EXPERIMENT[args.synthetic])
+        return analytic(EXPERIMENT_FUNCTIONS[args.synthetic])
     if not args.external_cmd:
         raise ConfigError("--blackbox external requires --external-cmd")
     return external_predictor(args.external_cmd, input_dim=ds.m)

@@ -13,23 +13,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blackbox import ANALYTIC_FUNCTIONS
+from .blackbox import TRIANGLE_VERTICES  # re-exported: the sign experiment's triangle
 from .errors import DataFormatError, DegenerateHullError, InvalidInputError
-from .geometry import as_points, default_projection_tol, find_extreme_points
+from .geometry import as_points, find_extreme_points
 from .rng import Prng
 from .sampling import SimplexSampler
 
-# Vertices of the triangle hosting the sign-function experiment.
-TRIANGLE_VERTICES = np.array([[-1.0, -1.0], [0.0, 2.0], [1.0, 0.0]])
-
-EXPERIMENT_IDS = (
-    "feat-ex1",
-    "feat-ex2a",
-    "feat-ex2b",
-    "feat-ex3",
-    "ex-based-1",
-    "ex-based-2",
-    "ex-based-3",
-)
+# Each experiment's analytic black box, a key of ANALYTIC_FUNCTIONS. The
+# lambda experiments' functions take the simplex weights themselves.
+EXPERIMENT_FUNCTIONS = {
+    "feat-ex1": "linear7",
+    "feat-ex2a": "quad2",
+    "feat-ex2b": "quad2",
+    "feat-ex3": "ring",
+    "ex-based-1": "lambda-sine6",
+    "ex-based-2": "lambda-poly4",
+    "ex-based-3": "lambda-sign3",
+}
+EXPERIMENT_IDS = tuple(EXPERIMENT_FUNCTIONS)
 
 
 @dataclass
@@ -120,37 +121,29 @@ def gen_quad2(n: int = 400, box=(0.0, 1.0), seed: int = 0) -> Dataset:
     return Dataset(x=x, y=y, feature_names=["x1", "x2"])
 
 
+_LAMBDA_SIZES = {"ex-based-1": 2000, "ex-based-2": 1000, "ex-based-3": 1000}
+
+
 def lambda_function(experiment_id: str):
     """The weight-space black box of a lambda experiment, as a callable.
 
-    For the sign-function experiment the weights are first mapped through
-    the triangle vertices, so the callable is the full composition."""
-    if experiment_id == "ex-based-1":
-        return ANALYTIC_FUNCTIONS["lambda-sine6"][0]
-    if experiment_id == "ex-based-2":
-        return ANALYTIC_FUNCTIONS["lambda-poly4"][0]
-    if experiment_id == "ex-based-3":
-        sign2 = ANALYTIC_FUNCTIONS["sign2"][0]
-        return lambda lam: sign2(np.asarray(lam) @ TRIANGLE_VERTICES)
-    raise InvalidInputError(f"not a lambda experiment: {experiment_id!r}")
-
-
-_LAMBDA_DIMS = {"ex-based-1": 6, "ex-based-2": 4, "ex-based-3": 3}
-_LAMBDA_SIZES = {"ex-based-1": 2000, "ex-based-2": 1000, "ex-based-3": 1000}
+    For the sign-function experiment it is the full composition: weights to
+    a point of the triangle, then the sign function there."""
+    if experiment_id not in _LAMBDA_SIZES:
+        raise InvalidInputError(f"not a lambda experiment: {experiment_id!r}")
+    return ANALYTIC_FUNCTIONS[EXPERIMENT_FUNCTIONS[experiment_id]][0]
 
 
 def gen_lambda_experiment(experiment_id: str, n: int | None = None, seed: int = 0) -> Dataset:
     """Uniform simplex weights with noiseless targets from the experiment's
     analytic function; columns are the weights themselves."""
-    if experiment_id not in _LAMBDA_DIMS:
-        raise InvalidInputError(f"not a lambda experiment: {experiment_id!r}")
-    d = _LAMBDA_DIMS[experiment_id]
+    fn = lambda_function(experiment_id)
+    d = ANALYTIC_FUNCTIONS[EXPERIMENT_FUNCTIONS[experiment_id]][1]
     count = _LAMBDA_SIZES[experiment_id] if n is None else int(n)
     if count < 1:
         raise InvalidInputError("n must be >= 1")
     lam = SimplexSampler(d, seed).draw(count)
-    z = lambda_function(experiment_id)(lam)
-    return Dataset(x=lam, y=z, feature_names=_lambda_names(d), target_name="z")
+    return Dataset(x=lam, y=fn(lam), feature_names=_lambda_names(d), target_name="z")
 
 
 def generate(spec: SyntheticSpec) -> Dataset:
@@ -269,7 +262,7 @@ def gen_edge_testset(train, l: int, seed: int = 0) -> np.ndarray:
     if l < 1:
         raise InvalidInputError("l must be >= 1")
     points = train.x if isinstance(train, Dataset) else as_points(train, "train")
-    poly = find_extreme_points(points, default_projection_tol(points))
+    poly = find_extreme_points(points)
     d = poly.d
     if d < 2:
         raise DegenerateHullError(

@@ -62,12 +62,13 @@ def contribution_weights(b) -> np.ndarray:
     """Normalize dual coefficients to unit sum: v = b / sum(b).
 
     The formula is applied verbatim, so negative contributions survive;
-    they mark extreme points the fit moves against."""
+    they mark extreme points the fit moves against. The sum counts as zero
+    when it is within 1e-15 of sum |b|, a test that no scale of b changes."""
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 1 or b.size == 0:
         raise InvalidInputError("b must be a nonempty 1-d vector")
     total = float(b.sum())
-    if abs(total) <= 1e-15 * max(1.0, float(np.abs(b).sum())):
+    if abs(total) <= 1e-15 * float(np.abs(b).sum()):
         raise DegenerateNormalizationError(
             "dual coefficients sum to zero; contributions are undefined"
         )

@@ -34,9 +34,12 @@ from .surrogate import LinearModel, fit_linear, recover_primal
 
 @dataclass
 class DualConfig:
+    """K neighbours per local hull, n_lambda simplex samples per fit, and the
+    seed and first stream of the simplex draws. The extreme-point tolerance
+    is not a setting: each hull takes geometry.hull_tol of its own points."""
+
     K: int = 10
     n_lambda: int = 30
-    tol: float = 1e-6
     seed: int = 0
     stream: int = 0
 
@@ -45,8 +48,6 @@ class DualConfig:
             raise ConfigError("K must be >= 1")
         if self.n_lambda < 2:
             raise ConfigError("n_lambda must be >= 2")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
 
 
 @dataclass
@@ -106,7 +107,7 @@ def _run_pipeline(point_sets, X0, predictor, cfg: DualConfig):
     """
     hulls = []
     for i, points in enumerate(point_sets):
-        poly = find_extreme_points(points, cfg.tol)
+        poly = find_extreme_points(points)
         if cfg.n_lambda < poly.d:
             raise ConfigError(f"n_lambda = {cfg.n_lambda} is less than the {poly.d} extreme "
                               "points; the dual fit would be underdetermined")

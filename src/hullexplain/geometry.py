@@ -1,17 +1,17 @@
 """Convex geometry over finite point sets.
 
-Extreme-point identification, hull membership, and least-distance
-projection onto the convex hull of reference points. All three rest on
-one kernel, Wolfe's minimum-norm-point algorithm (Wolfe 1976, Math.
-Programming 11): an exact, finite active-set method that alternates
-adding the most violating point to a corral with affine least-squares
-steps that drop points whose weight would turn negative. Nothing here
-enumerates facets, and affinely dependent inputs are fine in any
-dimension. A solve that reaches its cycle bound raises
-`ConvergenceError` rather than returning a truncated answer. The module
-also holds what the other modules share about point arrays: validation,
-the exact nearest-neighbour search and the power-of-two scaling that keeps
-squares finite.
+Extreme-point identification and least-distance projection onto the
+convex hull of reference points. Both rest on one kernel, Wolfe's
+minimum-norm-point algorithm (Wolfe 1976, Math. Programming 11): an exact,
+finite active-set method that alternates adding the most violating point
+to a corral with affine least-squares steps that drop points whose weight
+would turn negative. Nothing here enumerates facets, and affinely
+dependent inputs are fine in any dimension. A solve that reaches its cycle
+bound raises `ConvergenceError` rather than returning a truncated answer.
+Both take their default tolerance from one rule, `hull_tol`, which scales
+with the points. The module also holds what the other modules share about
+point arrays: validation, the exact nearest-neighbour search and the
+power-of-two scaling that keeps squares finite.
 """
 from __future__ import annotations
 
@@ -86,23 +86,17 @@ def nearest(X: np.ndarray, Q: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def bounding_diameter(points: np.ndarray) -> float:
-    """Diagonal of the axis-aligned bounding box (cheap diameter proxy)."""
-    pts = as_points(points)
-    return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-
-
-def default_projection_tol(refs: np.ndarray) -> float:
-    return 1e-8 * (1.0 + bounding_diameter(refs))
-
-
-@dataclass
-class HullProjection:
-    """Least-distance convex combination of the reference points."""
-
-    weights: np.ndarray  # simplex vector over the reference points
-    image: np.ndarray    # weights @ refs
-    distance: float      # Euclidean distance from the query to the image
+def hull_tol(points: np.ndarray) -> float:
+    """The default tolerance of hull decisions about a point set: 1e-8 times
+    the diagonal of its bounding box, so that it scales with the points and
+    not with the units of their features. The diagonal is taken at a
+    power-of-two scale, so it does not overflow where its square would.
+    Identical points have diagonal 0 and get the smallest positive normal
+    double, which still merges them."""
+    span = points.max(axis=0) - points.min(axis=0)
+    k = square_scale(span)
+    return max(1e-8 * float(np.ldexp(np.linalg.norm(np.ldexp(span, -k)), k)),
+               np.finfo(np.float64).tiny)
 
 
 @dataclass
@@ -110,16 +104,11 @@ class Polytope:
     """Extreme points of a point set's convex hull."""
 
     extremes: np.ndarray        # (d, m), rows are extreme points
-    tol: float                  # tolerance used for extremeness decisions
     extreme_indices: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
 
     @property
     def d(self) -> int:
         return self.extremes.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.extremes.shape[1]
 
 
 def _affine_min_norm(corral: np.ndarray) -> np.ndarray:
@@ -187,24 +176,17 @@ def _min_norm_point(P: np.ndarray, gap_tol: float, decide: float | None = None):
     return weights, x
 
 
-def project_onto_hull(query, refs, tol: float | None = None) -> HullProjection:
-    """Least-distance projection of `query` onto the convex hull of `refs`.
-
-    `tol` is the distance accuracy of the returned projection; defaults to
-    1e-8 * (1 + bounding diameter of refs).
-    """
-    ref_arr = as_points(refs, "refs")
-    q = as_vector(query, "query", dim=ref_arr.shape[1])
-    lam, dist = project_points_onto_hull(q[None, :], ref_arr, tol=tol)
-    return HullProjection(weights=lam[0], image=lam[0] @ ref_arr, distance=float(dist[0]))
-
-
 def project_points_onto_hull(queries, refs, tol: float | None = None):
-    """Batched `project_onto_hull`; returns (weights matrix, distance vector)."""
+    """Least-distance projections of the rows of `queries` onto the convex
+    hull of `refs`: (simplex weights matrix, distance vector).
+
+    Each image is weights @ refs, accurate in distance to `tol`, which
+    defaults to hull_tol(refs).
+    """
     ref_arr = as_points(refs, "refs")
     q_arr = as_points(queries, "queries", dim=ref_arr.shape[1])
     if tol is None:
-        tol = default_projection_tol(ref_arr)
+        tol = hull_tol(ref_arr)
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
     lam = np.stack([_min_norm_point(ref_arr - q, tol * tol)[0] for q in q_arr])
@@ -235,23 +217,26 @@ def _leave_one_out_extremes(points: np.ndarray, tol: float) -> np.ndarray:
     return mask
 
 
-def find_extreme_points(points, tol: float) -> Polytope:
+def find_extreme_points(points, tol: float | None = None) -> Polytope:
     """Identify the extreme points of a finite set.
 
     A point is extreme iff it lies more than `tol` outside the convex hull
     of the remaining points; within-tol duplicates collapse to the
     lowest-index representative first. Every point kept after that collapse
     lies within tol of the hull of the extremes; a collapsed duplicate is
-    not rechecked and lies within 2 tol.
+    not rechecked and lies within 2 tol. `tol` defaults to hull_tol(points),
+    so the decisions do not depend on the units of the features.
     """
     pts = as_points(points)
+    if tol is None:
+        tol = hull_tol(pts)
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
     keep = _collapse_duplicates(pts, tol)
     uniq = pts[keep]
     n = uniq.shape[0]
     if n == 1:
-        return Polytope(extremes=uniq.copy(), tol=tol, extreme_indices=keep[:1])
+        return Polytope(extremes=uniq.copy(), extreme_indices=keep[:1])
 
     mask = _leave_one_out_extremes(uniq, tol)
     if not mask.any():
@@ -275,13 +260,4 @@ def find_extreme_points(points, tol: float) -> Polytope:
         extreme_local = np.sort(np.append(extreme_local, non_extreme[worst]))
 
     original = keep[extreme_local]
-    return Polytope(extremes=pts[original], tol=tol, extreme_indices=original)
-
-
-def contains(poly: Polytope, query, tol: float | None = None):
-    """Membership test with the projection as witness: (inside, projection)."""
-    q = as_vector(query, "query", dim=poly.dim)
-    if tol is None:
-        tol = poly.tol
-    proj = project_onto_hull(q, poly.extremes, tol=min(0.1 * tol, default_projection_tol(poly.extremes)))
-    return proj.distance <= tol, proj
+    return Polytope(extremes=pts[original], extreme_indices=original)

@@ -22,7 +22,7 @@ from hullexplain.datasets import (
     load_csv,
 )
 from hullexplain.explainer import DualConfig, explain_local, explain_many, feature_importance
-from hullexplain.geometry import default_projection_tol, project_onto_hull
+from hullexplain.geometry import hull_tol, project_points_onto_hull
 from hullexplain.rng import Prng
 from hullexplain.sampling import SimplexSampler
 from hullexplain.surrogate import LimeConfig, lime_explain
@@ -160,10 +160,8 @@ def test_7b_all_surrogate_queries_stay_in_hull():
         expl = explain_local(train.x[i], train.x, bb,
                              DualConfig(K=10, n_lambda=30, seed=4, stream=i))
         refs = expl.poly.extremes
-        tol = default_projection_tol(refs)
-        queries = expl.lambdas @ refs
-        for q in queries:
-            assert project_onto_hull(q, refs).distance <= tol
+        _, dist = project_points_onto_hull(expl.lambdas @ refs, refs)
+        assert dist.max() <= hull_tol(refs)
 
 
 def test_7c_extreme_points_match_2d_oracle():
@@ -191,7 +189,7 @@ def test_7c_extreme_points_match_2d_oracle():
     for seed in range(100):
         n = 3 + (seed * 7) % 38
         pts = Prng(seed, 0).unit(2 * n).reshape(n, 2)
-        poly = find_extreme_points(pts, default_projection_tol(pts))
+        poly = find_extreme_points(pts)
         got = set(map(tuple, poly.extremes))
         assert got == hull_vertices(pts), f"seed {seed}"
 

@@ -10,6 +10,7 @@ import pytest
 
 from hullexplain import cli
 from hullexplain.cli import _drain_warnings, main
+from hullexplain.datasets import EXPERIMENT_IDS, SyntheticSpec, generate
 from hullexplain.errors import RankDeficiencyWarning
 from hullexplain.report import read_report
 from hullexplain.rng import Prng
@@ -95,6 +96,16 @@ class TestExplain:
             rows = list(csv.reader(fh))
         assert rows[0] == ["index", "a_x1", "a_x2"]
         assert len(rows) == 11
+
+    @pytest.mark.parametrize("eid", EXPERIMENT_IDS)
+    def test_analytic_black_box_of_every_experiment(self, tmp_path, eid):
+        assert run("explain", "--synthetic", eid, "--blackbox", "analytic", "--K", "6",
+                   "--points", "3", "--out-dir", str(tmp_path), "--no-timestamp") == 0
+        if eid in cli.LAMBDA_EXPERIMENTS:
+            # the black box is the function that made the dataset's targets
+            ds = generate(SyntheticSpec(eid))
+            pred = cli._build_predictor(SimpleNamespace(blackbox="analytic", synthetic=eid), ds)
+            assert pred.predict(ds.x).tobytes() == ds.y.tobytes()
 
     def test_rows_explained_in_blocks_match_one_block(self, tmp_path, monkeypatch):
         # 10 points in blocks of 3: each row keeps its stream, so the

@@ -30,11 +30,7 @@ from hullexplain.errors import (
     DegenerateHullError,
     InvalidInputError,
 )
-from hullexplain.geometry import (
-    default_projection_tol,
-    find_extreme_points,
-    project_onto_hull,
-)
+from hullexplain.geometry import find_extreme_points, hull_tol, project_points_onto_hull
 from hullexplain.rng import Prng
 
 FIXTURES = Path(__file__).parent / "data"
@@ -109,9 +105,8 @@ class TestLambdaExperiments:
     def test_sign_experiment_maps_into_triangle(self):
         ds = gen_lambda_experiment("ex-based-3", n=200, seed=1)
         mapped = ds.x @ TRIANGLE_VERTICES
-        for p in mapped[:50]:
-            proj = project_onto_hull(p, TRIANGLE_VERTICES)
-            assert np.linalg.norm(proj.image - p) <= 1e-9
+        _, dist = project_points_onto_hull(mapped[:50], TRIANGLE_VERTICES)
+        assert dist.max() <= 1e-9
 
     def test_unknown_id_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -249,10 +244,14 @@ class TestEdgeTestset:
         pts = gen_edge_testset(train, 40, seed=1)
         assert pts.shape == (40, 2)
         poly = find_extreme_points(train.x, 1e-8)
-        tol = default_projection_tol(poly.extremes)
-        for p in pts:
-            proj = project_onto_hull(p, poly.extremes)
-            assert proj.distance <= tol
+        _, dist = project_points_onto_hull(pts, poly.extremes)
+        assert dist.max() <= hull_tol(poly.extremes)
+
+    @pytest.mark.parametrize("c", [2.0**-40, 2.0**-20, 2.0**40])
+    def test_scaling_the_train_set_scales_the_test_set(self, c):
+        X = generate(SyntheticSpec("feat-ex3", seed=1)).x
+        assert np.array_equal(gen_edge_testset(c * X, 50, seed=1),
+                              c * gen_edge_testset(X, 50, seed=1))
 
     def test_deterministic(self):
         train = gen_ring(100, (0.0, 4.0), seed=6)

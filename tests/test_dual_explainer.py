@@ -13,7 +13,8 @@ from hullexplain.explainer import (
     explain_many,
     feature_importance,
 )
-from hullexplain.geometry import project_points_onto_hull
+from hullexplain.datasets import SyntheticSpec, generate
+from hullexplain.geometry import hull_tol, project_points_onto_hull
 from hullexplain.rng import Prng
 
 LINEAR7_COEF = np.array([10.0, -20.0, -2.0, 3.0, 0.0, 0.0, 0.0])
@@ -22,14 +23,16 @@ LINEAR7_COEF = np.array([10.0, -20.0, -2.0, 3.0, 0.0, 0.0, 0.0])
 class TestExactLinearRecovery:
     def test_local_on_linear_black_box(self):
         # random neighborhoods in R^7 put 11 points in general position,
-        # so the hull has >= 8 extremes and recovery must be exact
+        # so the hull has >= 8 extremes and recovery must be exact, in any
+        # units of the features
         pred = analytic("linear7")
-        prng = Prng(50, 0)
-        X = prng.uniform(200 * 7, 0.0, 1.0).reshape(200, 7)
-        for i in range(5):
-            x0 = prng.uniform(7, 0.1, 0.9)
-            expl = explain_local(x0, X, pred, DualConfig(K=10, seed=i))
-            assert np.max(np.abs(expl.a - LINEAR7_COEF)) < 1e-6, f"point {i}"
+        for scale in (1.0, 1e-6):
+            prng = Prng(50, 0)
+            X = scale * prng.uniform(200 * 7, 0.0, 1.0).reshape(200, 7)
+            for i in range(5):
+                x0 = scale * prng.uniform(7, 0.1, 0.9)
+                expl = explain_local(x0, X, pred, DualConfig(K=10, seed=i))
+                assert np.max(np.abs(expl.a - LINEAR7_COEF)) < 1e-6, f"point {i} at {scale}"
 
     def test_global_on_simplex_vertices(self):
         pred = analytic("linear7")
@@ -99,11 +102,11 @@ class TestGeometryCases:
         prng = Prng(54, 0)
         X = prng.normal(100).reshape(50, 2)
         x0 = X[7] + 0.01
-        cfg = DualConfig(K=10, n_lambda=25)
-        expl = explain_local(x0, X, pred, cfg)
+        expl = explain_local(x0, X, pred, DualConfig(K=10, n_lambda=25))
         samples = expl.lambdas @ expl.poly.extremes
-        _, dist = project_points_onto_hull(samples, expl.poly.extremes, tol=0.01 * cfg.tol)
-        assert dist.max() <= cfg.tol
+        tol = hull_tol(expl.poly.extremes)
+        _, dist = project_points_onto_hull(samples, expl.poly.extremes, tol=0.01 * tol)
+        assert dist.max() <= tol
 
     def test_repeated_single_point_dataset(self):
         point = np.array([2.0, 1.0, 2.0])
@@ -115,6 +118,11 @@ class TestGeometryCases:
         b1 = expl.b[0]
         want = b1 * point / (point @ point)
         assert np.allclose(expl.a, want, atol=1e-6)
+        # a neighborhood of identical rows, x0 among them, has one extreme too
+        with pytest.warns(RankDeficiencyWarning):
+            local = explain_local(point, X, _const_pred(), DualConfig(K=4))
+        assert local.poly.d == 1
+        assert local.poly.extreme_indices.tolist() == [0]
 
 
 def _const_pred():
@@ -256,6 +264,18 @@ class TestExplainMany:
         assert explain_local(X0[5], X, pred, cfg).f_x0 == want[5]
         assert explain_global(X, pred, DualConfig(n_lambda=60)).f_x0 is None
 
+    @pytest.mark.parametrize("c", [2.0**-40, 2.0**-20, 2.0**40])
+    def test_scaling_the_features_scales_the_explanation(self, c):
+        # the hull tolerance scales with each neighborhood, so power-of-two
+        # units change no extreme set and no bit of a * c
+        ds = generate(SyntheticSpec("feat-ex3", seed=1))
+        cfg = DualConfig(K=6, n_lambda=30, seed=1)
+        base = explain_many(ds.x[:40], ds.x, knn_fit(ds.x, ds.y, k=6), cfg)
+        scaled = explain_many(c * ds.x[:40], c * ds.x, knn_fit(c * ds.x, ds.y, k=6), cfg)
+        for i, (want, got) in enumerate(zip(base, scaled)):
+            assert got.poly.extreme_indices.tolist() == want.poly.extreme_indices.tolist(), i
+            assert (got.a * c).tobytes() == want.a.tobytes(), f"row {i}"
+
     @pytest.mark.parametrize("X0", [np.zeros((3, 3)), np.array([[0.1, np.nan]]),
                                     np.array([[np.inf, 0.0], [0.0, 0.0]])])
     def test_bad_rows_rejected(self, X0):
@@ -308,7 +328,7 @@ def _expl_with_a(a):
         a=np.asarray(a, dtype=float),
         b=np.zeros(1),
         intercept=0.0,
-        poly=Polytope(extremes=np.zeros((1, m)), tol=1e-6),
+        poly=Polytope(extremes=np.zeros((1, m))),
         lambdas=np.ones((1, 1)),
         z=np.zeros(1),
     )

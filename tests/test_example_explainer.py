@@ -42,9 +42,19 @@ class TestContributionWeights:
         assert np.allclose(v, [1.5, -0.5])
         assert v.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("c", [1e-16, 1.0, 1e16])
+    def test_weights_do_not_depend_on_the_scale_of_b(self, c):
+        np.testing.assert_allclose(contribution_weights(np.array([3.0, 1.0]) * c),
+                                   [0.75, 0.25], rtol=1e-15)
+        np.testing.assert_allclose(contribution_weights(np.array([3.0, -1.0]) * c),
+                                   [1.5, -0.5], rtol=1e-15)
+
     def test_zero_sum_rejected(self):
+        for c in (1e-16, 1.0, 1e16):
+            with pytest.raises(DegenerateNormalizationError):
+                contribution_weights(np.array([1.0, -1.0]) * c)
         with pytest.raises(DegenerateNormalizationError):
-            contribution_weights([1.0, -1.0])
+            contribution_weights(np.zeros(3))
 
     def test_bad_shape(self):
         with pytest.raises(InvalidInputError):

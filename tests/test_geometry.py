@@ -14,13 +14,10 @@ from hypothesis import given, settings, strategies as st
 from hullexplain.errors import InvalidInputError
 from hullexplain import geometry
 from hullexplain.geometry import (
-    Polytope,
     _leave_one_out_extremes,
-    bounding_diameter,
-    contains,
     find_extreme_points,
+    hull_tol,
     nearest,
-    project_onto_hull,
     project_points_onto_hull,
     square_scale,
 )
@@ -91,33 +88,32 @@ def polygon_distance(q, vertices):
 class TestProjection:
     def test_point_inside_triangle_has_zero_distance(self):
         refs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        p = project_onto_hull([0.2, 0.2], refs)
-        assert p.distance < 1e-7
-        assert np.allclose(p.image, [0.2, 0.2], atol=1e-7)
+        lam, dist = project_points_onto_hull([[0.2, 0.2]], refs)
+        assert dist[0] < 1e-7
+        assert np.allclose(lam[0] @ refs, [0.2, 0.2], atol=1e-7)
 
     def test_point_outside_projects_to_face(self):
         refs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        p = project_onto_hull([1.0, 1.0], refs)
-        assert abs(p.distance - np.sqrt(2) / 2) < 1e-6
-        assert np.allclose(p.image, [0.5, 0.5], atol=1e-6)
+        lam, dist = project_points_onto_hull([[1.0, 1.0]], refs)
+        assert abs(dist[0] - np.sqrt(2) / 2) < 1e-6
+        assert np.allclose(lam[0] @ refs, [0.5, 0.5], atol=1e-6)
 
     def test_weights_are_a_simplex_vector(self):
         refs = Prng(1, 0).normal(40).reshape(10, 4)
-        p = project_onto_hull(np.full(4, 5.0), refs)
-        assert np.all(p.weights >= 0.0)
-        assert abs(p.weights.sum() - 1.0) <= 1e-12
-        assert np.allclose(p.weights @ refs, p.image, atol=1e-10)
+        lam, _ = project_points_onto_hull([np.full(4, 5.0)], refs)
+        assert np.all(lam >= 0.0)
+        assert abs(lam[0].sum() - 1.0) <= 1e-12
 
     def test_single_reference(self):
-        p = project_onto_hull([3.0, 4.0], [[0.0, 0.0]])
-        assert abs(p.distance - 5.0) < 1e-12
-        assert p.weights.tolist() == [1.0]
+        lam, dist = project_points_onto_hull([[3.0, 4.0]], [[0.0, 0.0]])
+        assert abs(dist[0] - 5.0) < 1e-12
+        assert lam.tolist() == [[1.0]]
 
     def test_duplicate_references_are_harmless(self):
         refs = np.array([[0.0, 0.0], [0.0, 0.0], [2.0, 0.0], [2.0, 0.0]])
-        p = project_onto_hull([1.0, 1.0], refs)
-        assert abs(p.distance - 1.0) < 1e-6
-        assert abs(p.image[0] - 1.0) < 1e-6
+        lam, dist = project_points_onto_hull([[1.0, 1.0]], refs)
+        assert abs(dist[0] - 1.0) < 1e-6
+        assert abs((lam[0] @ refs)[0] - 1.0) < 1e-6
 
     def test_matches_segment_oracle(self):
         prng = Prng(7, 0)
@@ -126,38 +122,38 @@ class TestProjection:
         hull_idx = monotone_chain(refs)
         for q in queries:
             want = polygon_distance(q, refs[hull_idx])
-            got = project_onto_hull(q, refs, tol=1e-9).distance
-            assert abs(got - want) < 1e-7
+            _, got = project_points_onto_hull([q], refs, tol=1e-9)
+            assert abs(got[0] - want) < 1e-7
 
     def test_batch_agrees_with_single(self):
         prng = Prng(21, 0)
         refs = prng.normal(30).reshape(10, 3)
         queries = prng.normal(15).reshape(5, 3)
         lam, dist = project_points_onto_hull(queries, refs, tol=1e-9)
-        for i, q in enumerate(queries):
-            single = project_onto_hull(q, refs, tol=1e-9)
-            assert abs(dist[i] - single.distance) < 1e-7
-            assert np.allclose(lam[i] @ refs, single.image, atol=1e-6)
+        for i in range(len(queries)):
+            lam1, dist1 = project_points_onto_hull(queries[i : i + 1], refs, tol=1e-9)
+            assert abs(dist[i] - dist1[0]) < 1e-7
+            assert np.allclose(lam[i] @ refs, lam1[0] @ refs, atol=1e-6)
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
-            project_onto_hull([np.nan, 0.0], [[0.0, 0.0], [1.0, 1.0]])
+            project_points_onto_hull([[np.nan, 0.0]], [[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(InvalidInputError):
-            project_onto_hull([0.0, 0.0], [[np.inf, 0.0], [1.0, 1.0]])
+            project_points_onto_hull([[0.0, 0.0]], [[np.inf, 0.0], [1.0, 1.0]])
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
-            project_onto_hull([0.0, 0.0, 0.0], [[0.0, 0.0], [1.0, 1.0]])
+            project_points_onto_hull([[0.0, 0.0, 0.0]], [[0.0, 0.0], [1.0, 1.0]])
 
     def test_high_dimensional_affinely_dependent(self):
         # 3 points spanning a plane inside R^6; query off the plane
         prng = Prng(4, 0)
         base = prng.normal(18).reshape(3, 6)
         q = base.mean(axis=0) + 0.5 * np.ones(6)
-        p = project_onto_hull(q, base, tol=1e-9)
-        resid = q - p.image
+        lam, _ = project_points_onto_hull([q], base, tol=1e-9)
+        resid = q - lam[0] @ base
         # optimality: residual orthogonal to all active edges
-        active = p.weights > 1e-9
+        active = lam[0] > 1e-9
         for i in np.nonzero(active)[0]:
             for j in np.nonzero(active)[0]:
                 assert abs(resid @ (base[i] - base[j])) < 1e-6
@@ -280,9 +276,12 @@ class TestExtremePoints:
     def test_scale_and_translation_equivariance(self):
         prng = Prng(15, 0)
         pts = prng.normal(30).reshape(15, 2)
-        base = find_extreme_points(pts, tol=1e-8)
-        moved = find_extreme_points(3.5 * pts + np.array([100.0, -40.0]), tol=3.5e-8)
-        assert moved.extreme_indices.tolist() == base.extreme_indices.tolist()
+        base = find_extreme_points(pts, tol=1e-8).extreme_indices.tolist()
+        for scale in (3.5, 1e-12, 1e12):
+            moved = scale * pts + scale / 3.5 * np.array([100.0, -40.0])
+            assert find_extreme_points(moved, tol=scale * 1e-8).extreme_indices.tolist() == base
+            # the default tolerance scales with the points by itself
+            assert find_extreme_points(moved).extreme_indices.tolist() == base
 
     def test_prefiltered_large_set_matches_direct_rule(self):
         # 304 points, 300 of them interior: each leave-one-out test must still be exact
@@ -319,8 +318,8 @@ def certified_distance_bounds(q, refs):
     The upper bound is the distance to the weights' image; the lower bound
     is how far every ref lies from q along the unit residual direction.
     """
-    proj = project_onto_hull(q, refs, tol=1e-12)
-    resid = q - proj.image
+    w, _ = project_points_onto_hull([q], refs, tol=1e-12)
+    resid = q - w[0] @ refs
     upper = float(np.linalg.norm(resid))
     if upper == 0.0:
         return 0.0, 0.0
@@ -335,14 +334,15 @@ class TestSevenDimensional:
         n = 2 + int(prng.below(24, 1)[0])
         refs = points_7d(prng, n, flat)
         q = 3.0 * prng.normal(7)
-        p = project_onto_hull(q, refs)
-        assert np.all(p.weights >= 0.0)
-        assert abs(p.weights.sum() - 1.0) <= 1e-12
-        assert np.allclose(p.weights @ refs, p.image, atol=1e-10)
+        lam, _ = project_points_onto_hull([q], refs)
+        w = lam[0]
+        assert np.all(w >= 0.0)
+        assert abs(w.sum() - 1.0) <= 1e-12
+        image = w @ refs
         # optimality: no ref lies beyond the image along the residual
-        resid = q - p.image
+        resid = q - image
         scale = 1.0 + float(np.max(np.sum((refs - q) ** 2, axis=1)))
-        assert float(np.max((refs - p.image) @ resid)) <= 1e-10 * scale
+        assert float(np.max((refs - image) @ resid)) <= 1e-10 * scale
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000), st.booleans())
@@ -370,34 +370,21 @@ class TestSevenDimensional:
             else:
                 assert upper <= tol, f"point {i} dropped at distance >= {lower}"
 
-class TestContains:
-    def test_interior_and_exterior(self):
-        poly = find_extreme_points(
-            np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float), tol=1e-6
-        )
-        inside, proj = contains(poly, [0.5, 0.5])
-        assert inside and proj.distance <= 1e-6
-        outside, proj = contains(poly, [2.0, 0.5])
-        assert not outside
-        assert abs(proj.distance - 1.0) < 1e-6
+class TestHullTol:
+    def test_is_1e_8_times_the_bounding_box_diagonal(self):
+        assert hull_tol(np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])) == 5e-8
 
-    def test_vertex_plus_outward_step_is_outside(self):
-        poly = find_extreme_points(
-            np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float), tol=1e-6
-        )
-        inside, _ = contains(poly, [1.0 + np.sqrt(0.5), 1.0 + np.sqrt(0.5)])
-        assert not inside
+    def test_identical_points_get_a_positive_tol(self):
+        assert hull_tol(np.zeros((4, 3))) > 0.0
+        assert hull_tol(np.full((1, 2), 7.0)) > 0.0
 
-    def test_dimension_mismatch_rejected(self):
-        poly = find_extreme_points(np.eye(3), tol=1e-6)
-        with pytest.raises(InvalidInputError):
-            contains(poly, [0.0, 0.0])
+    @pytest.mark.parametrize("c", [2.0**-40, 2.0**-20, 2.0**40, 2.0**520])
+    def test_scales_with_the_points(self, c):
+        pts = Prng(3, 0).normal(30).reshape(10, 3)
+        assert hull_tol(c * pts) == c * hull_tol(pts)
 
 
 class TestHelpers:
-    def test_bounding_diameter(self):
-        assert bounding_diameter([[0.0, 0.0], [3.0, 4.0]]) == 5.0
-
     def test_tol_must_be_positive(self):
         with pytest.raises(InvalidInputError):
             find_extreme_points(np.eye(2), tol=0.0)
