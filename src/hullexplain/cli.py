@@ -159,6 +159,14 @@ def _config_echo(args, skip=("cmd", "out_dir", "no_timestamp", "jobs")):
     return echo
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of finite values, without the masked-array module that
+    np.median imports (about 2 MB of memory for one number)."""
+    v = np.sort(values)
+    h = v.shape[0] // 2
+    return float(v[h] if v.shape[0] % 2 else (v[h - 1] + v[h]) / 2)
+
+
 def _drain_warnings(rec, rep):
     """Add each recorded warning to the report once, with a count if repeated."""
     counts = Counter(f"{w.category.__name__}: {w.message}" for w in rec)
@@ -190,7 +198,11 @@ def cmd_explain(args, out: Path) -> RunReport:
                                  predictor, replace(cfg, stream=lo))
             for i, expl in enumerate(block, lo):
                 err = expl.f_x0 - expl.model.predict_one(ds.x[i])
-                amat[i], mses[i] = expl.a, err * err
+                se = err * err
+                if not np.isfinite(se):  # checked before any file is written
+                    raise InvalidInputError(f"explain point {i}: squared error is not finite "
+                                            f"({se!r})")
+                amat[i], mses[i] = expl.a, se
                 rep.points.append(PointResult(index=i, values={
                     "a": expl.a,
                     "intercept": expl.intercept,
@@ -203,7 +215,7 @@ def cmd_explain(args, out: Path) -> RunReport:
     rep.aggregates["std-a"] = (np.ldexp(np.ldexp(amat, -k).std(axis=0, ddof=1), k) if total > 1
                                else np.zeros(ds.m))
     rep.aggregates["mean-mse"] = float(mses.mean())
-    rep.aggregates["median-mse"] = float(np.median(mses))
+    rep.aggregates["median-mse"] = _median(mses)
     with open(out / "points.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index"] + [f"a_{name}" for name in ds.feature_names])
@@ -246,8 +258,8 @@ def cmd_compare(args, out: Path) -> RunReport:
         rep.points.append(PointResult(index=i, values={"mse-dual": dm, "mse-lime": lm}))
     rep.aggregates["mean-mse-dual"] = float(dual_mse.mean())
     rep.aggregates["mean-mse-lime"] = float(lime_mse.mean())
-    rep.aggregates["median-mse-dual"] = float(np.median(dual_mse))
-    rep.aggregates["median-mse-lime"] = float(np.median(lime_mse))
+    rep.aggregates["median-mse-dual"] = _median(dual_mse)
+    rep.aggregates["median-mse-lime"] = _median(lime_mse)
     with open(out / "mse.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "mse_dual", "mse_lime"])

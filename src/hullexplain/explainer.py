@@ -100,14 +100,14 @@ def _rms(r: np.ndarray) -> float:
 
 
 def _run_pipeline(point_sets, X0, predictor, cfg: DualConfig):
-    """Set i gets its own extreme points and a simplex draw on stream
+    """point_sets is an (S, n, m) stack; its extreme points are found in one
+    call. Set i gets its own extreme points and a simplex draw on stream
     cfg.stream + i; the query blocks of all sets and then the explained rows
     X0 (None for a global fit, else row i is point cfg.K of set i) go to one
     predictor call, and then each set gets its own dual fit and recovery.
     """
     hulls = []
-    for i, points in enumerate(point_sets):
-        poly = find_extreme_points(points)
+    for i, poly in enumerate(find_extreme_points(point_sets)):
         if cfg.n_lambda < poly.d:
             raise ConfigError(f"n_lambda = {cfg.n_lambda} is less than the {poly.d} extreme "
                               "points; the dual fit would be underdetermined")
@@ -156,7 +156,7 @@ def explain_local(x0, train, predictor, cfg: DualConfig) -> DualExplanation:
 def explain_global(train, predictor, cfg: DualConfig) -> DualExplanation:
     """One explanation over the hull of the entire dataset."""
     cfg.validate()
-    return _run_pipeline([_train_matrix(train)], None, predictor, cfg)[0]
+    return _run_pipeline(_train_matrix(train)[None], None, predictor, cfg)[0]
 
 
 def feature_importance(expl: DualExplanation, mode: str = "signed") -> np.ndarray:

@@ -6,7 +6,6 @@ one helper so identical inputs give identical bytes.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -20,6 +19,12 @@ MARGIN_T = 40
 MARGIN_B = 48
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+
+def _escape(text: str) -> str:
+    """&, < and > as XML entities, as xml.sax.saxutils.escape writes them;
+    importing that module loads urllib and ssl, several MB of memory."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _fmt(v: float) -> str:
@@ -78,7 +83,7 @@ def _open_svg(title: str):
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH // 2}" y="22" text-anchor="middle" font-size="15">'
-        f"{escape(title)}</text>",
+        f"{_escape(title)}</text>",
     ]
 
 
@@ -100,11 +105,11 @@ def _axes(parts, frame, xlabel, ylabel):
         )
     parts.append(
         f'<text x="{(x0 + x1) // 2}" y="{HEIGHT - 10}" text-anchor="middle">'
-        f"{escape(xlabel)}</text>"
+        f"{_escape(xlabel)}</text>"
     )
     parts.append(
         f'<text x="16" y="{(y0 + y1) // 2}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {(y0 + y1) // 2})">{escape(ylabel)}</text>'
+        f'transform="rotate(-90 16 {(y0 + y1) // 2})">{_escape(ylabel)}</text>'
     )
 
 
@@ -114,7 +119,7 @@ def _legend(parts, names):
         py = MARGIN_T + 8 + 16 * i
         color = PALETTE[i % len(PALETTE)]
         parts.append(f'<rect x="{px}" y="{py - 8}" width="10" height="10" fill="{color}"/>')
-        parts.append(f'<text x="{px + 15}" y="{py + 1}">{escape(str(name))}</text>')
+        parts.append(f'<text x="{px + 15}" y="{py + 1}">{_escape(str(name))}</text>')
 
 
 def scatter_plot(xs, ys, *, title="", xlabel="", ylabel="", diagonal=False) -> str:

@@ -39,6 +39,34 @@ def huge_target_csv(tmp_path):
     return data
 
 
+def two_slope_run(tmp_path):
+    """A CSV of two clusters and an external black box that is exactly
+    linear on each, with 1e160-scale slopes that differ between them: a
+    local fit recovers each slope to rounding, so the squared errors stay
+    finite while the squared spread of the slopes would overflow."""
+    data = tmp_path / "clusters.csv"
+    x = Prng(71, 0).uniform(120, 0.0, 1.0).reshape(60, 2)
+    x[1::2, 0] += 20.0  # rows alternate between the clusters
+    with open(data, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2"])
+        writer.writerows([repr(float(a)), repr(float(b))] for a, b in x)
+    child = tmp_path / "child.py"
+    child.write_text(
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    parts = line.split()\n"
+        "    if parts[0] == 'QUIT':\n"
+        "        break\n"
+        "    for _ in range(int(parts[1])):\n"
+        "        a, b = (float(v) for v in sys.stdin.readline().split())\n"
+        "        print(repr(1e160 * ((1.0 if a < 10.0 else 2.0) * a + b)))\n"
+        "    sys.stdout.flush()\n"
+    )
+    return ["--data", str(data), "--blackbox", "external",
+            "--external-cmd", f"{sys.executable} {child}"]
+
+
 @pytest.fixture
 def predict_calls(monkeypatch):
     """The row count of every predict call on the black box the CLI builds."""
@@ -141,29 +169,34 @@ class TestExplain:
 
     def test_huge_targets_fit_trees_without_overflow(self, tmp_path):
         # the tree fit no longer squares raw 1e200-scale targets, so it raises
-        # no overflow or invalid-value warning of its own
+        # no overflow or invalid-value warning of its own (a global fit: the
+        # local squared errors of these targets overflow, and explain rejects them)
         rc = run("explain", "--data", str(huge_target_csv(tmp_path)), "--blackbox", "trees",
-                 "--bb-trees", "5", "--K", "6", "--points", "3",
+                 "--bb-trees", "5", "--K", "6", "--global", "--n-lambda", "60",
                  "--out-dir", str(tmp_path / "out"), "--no-timestamp")
         assert rc == 0
         warned = read_report(tmp_path / "out" / "report.txt").warnings
         assert not [w for w in warned if "invalid value" in w or "in multiply" in w]
 
     def test_huge_targets_give_finite_spreads_and_residuals(self, tmp_path):
-        # std-a and fit-residual-rms square 1e199-scale values; scaled by a
-        # power of two first, they stay finite and nothing overflows
-        data = str(huge_target_csv(tmp_path))
-        rc = run("explain", "--data", data, "--blackbox", "trees", "--bb-trees", "5", "--K", "6",
-                 "--points", "3", "--out-dir", str(tmp_path / "local"), "--no-timestamp")
+        # std-a and fit-residual-rms square 1e160- and 1e199-scale values;
+        # scaled by a power of two first, they stay finite and nothing overflows
+        rc = run("explain", *two_slope_run(tmp_path), "--K", "6", "--points", "4",
+                 "--out-dir", str(tmp_path / "local"), "--no-timestamp")
         assert rc == 0
         rep = read_report(tmp_path / "local" / "report.txt")
         assert rep.warnings == []
         a = np.array([p.values["a"] for p in rep.points])
-        want = 1e199 * (a / 1e199).std(axis=0, ddof=1)
-        assert np.allclose(rep.aggregates["std-a"], want, rtol=1e-12, atol=0.0)
-        rc = run("explain", "--data", data, "--blackbox", "trees", "--bb-trees", "5", "--K", "6",
-                 "--global", "--n-lambda", "60", "--out-dir", str(tmp_path / "global"),
-                 "--no-timestamp")
+        assert np.allclose(a[:, 0], 1e160 * np.array([1.0, 2.0, 1.0, 2.0]), rtol=1e-9)
+        # the spread of the first slope is 1e160 * std(1, 2, 1, 2); the
+        # second slope is 1e160 at both clusters, up to rounding
+        std_a = rep.aggregates["std-a"]
+        assert np.isclose(std_a[0], 1e160 * (a[:, 0] / 1e160).std(ddof=1), rtol=1e-12, atol=0.0)
+        assert np.isclose(std_a[0], 1e160 * np.std([1.0, 2.0, 1.0, 2.0], ddof=1), rtol=1e-9)
+        assert 0.0 <= std_a[1] < 1e150
+        rc = run("explain", "--data", str(huge_target_csv(tmp_path)), "--blackbox", "trees",
+                 "--bb-trees", "5", "--K", "6", "--global", "--n-lambda", "60",
+                 "--out-dir", str(tmp_path / "global"), "--no-timestamp")
         assert rc == 0
         rep = read_report(tmp_path / "global" / "report.txt")
         assert rep.warnings == []
@@ -422,6 +455,16 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             run("transmogrify")
         assert err.value.code == 2
+
+    def test_explain_with_overflowing_errors_writes_nothing(self, tmp_path, capsys):
+        # as compare: the squared errors of a 1e200-scale target overflow, so
+        # the command fails before it writes points.csv or the report
+        out = tmp_path / "out"
+        rc = run("explain", "--data", str(huge_target_csv(tmp_path)), "--blackbox", "trees",
+                 "--bb-trees", "5", "--K", "6", "--points", "3", "--out-dir", str(out))
+        assert rc == 2
+        assert "explain point 0: squared error is not finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_compare_with_overflowing_errors_writes_nothing(self, tmp_path, capsys):
         # squared errors of a 1e200-scale target overflow to inf: the command

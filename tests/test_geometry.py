@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hullexplain.errors import InvalidInputError
+from hullexplain.datasets import SyntheticSpec, generate
+from hullexplain.errors import ConvergenceError, InvalidInputError
 from hullexplain import geometry
 from hullexplain.geometry import (
-    _leave_one_out_extremes,
+    Polytopes,
+    _min_norm_points,
     find_extreme_points,
     hull_tol,
     nearest,
@@ -161,6 +163,13 @@ class TestProjection:
 
 # ---------------------------------------------------------- extreme points
 
+def leave_one_out(pts, tol):
+    """The leave-one-out mask of one set with no duplicates collapsed."""
+    return geometry._leave_one_out_extremes(
+        np.asarray(pts, dtype=float)[None], np.ones((1, len(pts)), dtype=bool),
+        np.array([tol]))[0]
+
+
 def brute_force_extremes_2d(points, tol):
     keep = []
     pts = np.asarray(points, dtype=float)
@@ -244,7 +253,7 @@ class TestExtremePoints:
         # tol of the hull of the others, but row 3 is 1.8e-6 from the segment
         pts = np.array([[0, 0], [1, 0], [0.5 - 2e-6, 0.9e-6], [0.5, 1.8e-6]])
         tol = 1e-6
-        assert _leave_one_out_extremes(pts, tol).tolist() == [True, True, False, False]
+        assert leave_one_out(pts, tol).tolist() == [True, True, False, False]
         poly = find_extreme_points(pts, tol=tol)
         assert poly.extreme_indices.tolist() == [0, 1, 3]
         _, dist = project_points_onto_hull(pts, poly.extremes, tol=0.01 * tol)
@@ -256,7 +265,7 @@ class TestExtremePoints:
         t = 2 * np.pi * np.arange(60) / 60
         pts = np.stack([np.cos(t), np.sin(t)], axis=1)
         tol = 0.01
-        assert not _leave_one_out_extremes(pts, tol).any()
+        assert not leave_one_out(pts, tol).any()
         poly = find_extreme_points(pts, tol=tol)
         assert poly.d == 32
         _, dist = project_points_onto_hull(pts, poly.extremes, tol=0.01 * tol)
@@ -369,6 +378,142 @@ class TestSevenDimensional:
                 assert lower > tol, f"point {i} kept at distance <= {upper}"
             else:
                 assert upper <= tol, f"point {i} dropped at distance >= {lower}"
+
+def stack_of_sets(prng, count, n, m, kind):
+    """`count` sets of n points in R^m: generic, on a 2-d affine subspace,
+    or generic with exact and within-tol copies of earlier rows."""
+    sets = prng.normal(count * n * m).reshape(count, n, m)
+    if kind == "flat":
+        sets = sets[:, :, :2] @ prng.normal(2 * m).reshape(2, m) + prng.normal(m)
+    if kind == "duplicates":
+        sets[:, n // 2] = sets[:, 0]
+        sets[:, n - 1] = sets[:, 1] + 1e-12 * prng.normal(count * m).reshape(count, m)
+    return sets
+
+
+class TestStacks:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000), st.sampled_from([2, 7]),
+           st.sampled_from(["generic", "flat", "duplicates"]))
+    def test_each_set_of_a_stack_equals_the_set_alone(self, seed, m, kind):
+        prng = Prng(seed, 31)
+        n = 3 + int(prng.below(12, 1)[0])
+        sets = stack_of_sets(prng, 1 + int(prng.below(6, 1)[0]), n, m, kind)
+        polys = find_extreme_points(sets)
+        assert isinstance(polys, Polytopes) and len(polys) == len(sets)
+        assert polys.d == sum(p.d for p in polys)
+        for pts, poly in zip(sets, polys):
+            alone = find_extreme_points(pts)
+            assert poly.extreme_indices.tobytes() == alone.extreme_indices.tobytes()
+            assert poly.extremes.tobytes() == alone.extremes.tobytes()
+
+    def test_a_stack_of_one_set_is_that_set(self):
+        pts = Prng(5, 0).normal(40).reshape(20, 2)
+        [poly] = find_extreme_points(pts[None])
+        assert poly.extreme_indices.tolist() == find_extreme_points(pts).extreme_indices.tolist()
+
+    def test_rejects_non_finite_sets(self):
+        sets = np.zeros((2, 3, 2))
+        sets[1, 2, 0] = np.nan
+        with pytest.raises(InvalidInputError):
+            find_extreme_points(sets)
+
+
+class TestKernel:
+    """The batched Wolfe solves behind find_extreme_points and projection."""
+
+    @staticmethod
+    def solve(sets, which, queries, allowed, gap=1e-9, skip=None):
+        which = np.asarray(which, dtype=np.intp)
+        return _min_norm_points(np.asarray(sets, dtype=float), which,
+                                np.asarray(queries, dtype=float), np.asarray(allowed),
+                                np.full(which.shape[0], gap), skip=skip)
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_a_problem_gets_the_same_bits_in_any_batch(self, m, symmetric):
+        prng = Prng(40 + m, 0)
+        sets = prng.normal(3 * 12 * m).reshape(3, 12, m)
+        queries = 1.5 * prng.normal(50 * m).reshape(50, m)
+        if symmetric:
+            # rotated cross-polytopes queried near their centres: many rows
+            # tie in exact arithmetic, so rounding alone picks among them
+            rot = np.linalg.qr(prng.normal(m * m).reshape(m, m))[0]
+            cross = np.vstack([np.eye(m), -np.eye(m), 2 * np.eye(m), -2 * np.eye(m)]) @ rot
+            sets = np.stack([np.resize(cross, (12, m)) for _ in range(3)])
+            queries = 1e-9 * queries
+        allowed = prng.unit(36).reshape(3, 12) < 0.8
+        allowed[:, 0] = True
+        which = prng.below(3, 50)
+        batch = self.solve(sets, which, queries, allowed)
+        for b in range(50):
+            alone = self.solve(sets, which[b : b + 1], queries[b : b + 1], allowed)
+            for got, want in zip(batch, alone):
+                assert got[b].tobytes() == want[0].tobytes(), b
+        # a lone set is read in place, not copied per problem: same bits
+        one_set = self.solve(sets[:1], np.zeros(50), queries, allowed[:1])
+        for b in np.nonzero(which == 0)[0]:
+            for got, want in zip(one_set, batch):
+                assert got[b].tobytes() == want[b].tobytes(), b
+
+    def test_a_single_allowed_row_gets_weight_one(self):
+        sets = Prng(3, 0).normal(12).reshape(1, 6, 2)
+        allowed = np.zeros((1, 6), dtype=bool)
+        allowed[0, 4] = True
+        C, W, X = self.solve(sets, [0, 0], [[5.0, 5.0], sets[0, 1]], allowed)
+        assert C[:, 0].tolist() == [4, 4] and W[:, 0].tolist() == [1.0, 1.0]
+        assert np.all(W[:, 1:] == 0.0)
+        assert np.array_equal(X, sets[0, 4] - np.array([[5.0, 5.0], sets[0, 1]]))
+
+    def test_skip_leaves_out_each_problems_own_row(self):
+        sets = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]])
+        C, W, X = self.solve(sets, [0] * 4, sets[0], np.ones((1, 4), dtype=bool),
+                             skip=np.arange(4))
+        for i in range(4):
+            assert i not in C[i][W[i] > 0]
+        assert np.allclose(np.einsum("ij,ij->i", X, X), 0.5)
+
+    def test_a_problem_at_its_cycle_bound_fails_the_whole_batch(self, monkeypatch):
+        # an affine step that never moves repeats the first major cycle of
+        # every problem that does not stop at once, until its cycle bound
+        refs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        queries = [[0.0, 0.0], [0.2, 0.2]]
+        lam, _ = project_points_onto_hull(queries, refs)
+        assert lam.shape == (2, 3)
+        monkeypatch.setattr(geometry, "_affine_min_norm",
+                            lambda P, cnt: (np.arange(P.shape[1]) == 0) + 0.0 * P[:, :, 0])
+        assert project_points_onto_hull(queries[:1], refs)[0].tolist() == [[1.0, 0.0, 0.0]]
+        with pytest.raises(ConvergenceError, match="did not converge within 24 cycles"):
+            project_points_onto_hull(queries, refs)
+
+    def test_a_stalled_problem_fails_the_whole_batch(self):
+        # a NaN query makes every score NaN, so the first major cycle picks
+        # the corral's own row again
+        sets = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
+        with pytest.raises(ConvergenceError, match="stalled with gap nan"):
+            self.solve(sets, [0, 0], [[0.2, 0.2], [np.nan, 0.0]], np.ones((1, 3), dtype=bool))
+
+
+class TestHugeCoordinates:
+    def test_extreme_set_of_a_ring_scaled_by_2_520(self):
+        # squares of the scaled coordinates overflow; each set is scaled by a
+        # power of two before any is squared, which changes no decision
+        x = generate(SyntheticSpec("feat-ex3", seed=1)).x
+        want = find_extreme_points(x).extreme_indices.tolist()
+        with np.errstate(over="raise", invalid="raise"):
+            assert find_extreme_points(np.ldexp(x, 520)).extreme_indices.tolist() == want
+            assert find_extreme_points(np.ldexp(x[None], 520))[0].extreme_indices.tolist() == want
+
+    def test_projection_distances_scale_back(self):
+        refs = Prng(9, 0).normal(20).reshape(10, 2)
+        queries = 3.0 * Prng(9, 1).normal(8).reshape(4, 2)
+        lam, dist = project_points_onto_hull(queries, refs)
+        with np.errstate(over="raise", invalid="raise"):
+            big_lam, big_dist = project_points_onto_hull(np.ldexp(queries, 600),
+                                                         np.ldexp(refs, 600))
+        assert np.array_equal(big_lam, lam)
+        assert np.array_equal(big_dist, np.ldexp(dist, 600))
+
 
 class TestHullTol:
     def test_is_1e_8_times_the_bounding_box_diagonal(self):
